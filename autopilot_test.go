@@ -73,11 +73,7 @@ func TestAutopilotOnCluster(t *testing.T) {
 }
 
 func TestTrainOnWindow(t *testing.T) {
-	trace, err := LublinTrace(64, 0.5, 1.2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := trace.Jobs
+	window := lublinTrace(t, 64, 0.5, 1.2, 42).Jobs
 	if len(window) > 256 {
 		window = window[:256]
 	}

@@ -9,7 +9,7 @@ import (
 
 // Cluster is the public face of the online scheduling subsystem
 // (internal/online): a live cluster that schedules jobs as they stream in,
-// instead of requiring the whole workload up front the way Simulate does.
+// instead of requiring the whole workload up front the way a Scenario does.
 // It maintains the waiting queue, the running set and the backfill
 // structures incrementally across calls, and supports hot-swapping the
 // queue policy without dropping state. cmd/schedd serves a Cluster over
@@ -19,9 +19,9 @@ import (
 // and Complete record what happened at the current instant, and the
 // scheduling pass for the instant runs on Flush — or automatically when
 // AdvanceTo moves the clock — so all events of an instant are scheduled
-// together. A trace streamed this way schedules bit-identically to
-// Simulate with the same options (the property the online differential
-// tests pin).
+// together. A trace streamed this way schedules bit-identically to the
+// batch simulator with the same options (the property the online
+// differential tests pin).
 //
 // All methods are safe for concurrent use. Slices of JobStart returned by
 // Flush and AdvanceTo are scratch, valid until the next call on the
@@ -188,10 +188,10 @@ func (c *Cluster) Err() error {
 // ReplayTrace streams a whole workload through a fresh online cluster —
 // each job submitted at its submit time, completed when its runtime has
 // elapsed after the start the scheduler chose, with optional policy
-// hot-swaps along the way — and returns the same Result a batch Simulate
-// produces. Without swaps the Result is bit-identical to Simulate with
-// the same options; with swaps it is the schedule a live operator would
-// have obtained flipping policies mid-stream.
+// hot-swaps along the way — and returns the same Result the batch
+// simulator produces. Without swaps the Result is bit-identical to a
+// batch simulation with the same options; with swaps it is the schedule
+// a live operator would have obtained flipping policies mid-stream.
 func ReplayTrace(cores int, jobs []Job, cfg ClusterConfig, swaps ...PolicySwap) (*SimResult, error) {
 	rs := make([]online.Swap, len(swaps))
 	for i, s := range swaps {

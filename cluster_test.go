@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	gensched "github.com/hpcsched/gensched"
+	"github.com/hpcsched/gensched/internal/sim"
 )
 
 func TestClusterLifecycle(t *testing.T) {
@@ -132,22 +133,23 @@ func TestClusterConcurrentAccess(t *testing.T) {
 }
 
 // TestReplayTraceMatchesSimulate pins the public streaming contract: a
-// trace replayed through the online cluster equals a batch Simulate.
+// trace replayed through the online cluster equals a batch simulation.
 func TestReplayTraceMatchesSimulate(t *testing.T) {
-	tr, err := gensched.LublinTrace(64, 0.5, 1.0, 99)
+	w, err := gensched.Lublin().Build(gensched.WorkloadRequest{Cores: 64, Days: 0.5, Sequences: 1, Load: 1.0, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := w.Windows[0]
 	cfg := gensched.ClusterConfig{
 		Policy:   gensched.MustPolicy("F1"),
 		Backfill: gensched.BackfillEASY,
 		Check:    true,
 	}
-	got, err := gensched.ReplayTrace(64, tr.Jobs, cfg)
+	got, err := gensched.ReplayTrace(64, jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := gensched.Simulate(64, tr.Jobs, gensched.SimOptions{
+	want, err := sim.Run(sim.Platform{Cores: 64}, jobs, gensched.SimOptions{
 		Policy: cfg.Policy, Backfill: cfg.Backfill,
 	})
 	if err != nil {

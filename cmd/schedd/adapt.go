@@ -8,29 +8,31 @@ import (
 
 	"github.com/hpcsched/gensched/internal/adaptive"
 	"github.com/hpcsched/gensched/internal/durable"
+	"github.com/hpcsched/gensched/internal/fed"
 )
 
 // The /v1/adapt endpoint controls the daemon's closed-loop adaptive
-// retrainer (internal/adaptive):
+// retrainer (internal/adaptive), one loop per shard (internal/fed:
+// adapt.go):
 //
-//	POST /v1/adapt {"action":"start","interval":3600,...}  attach a loop
-//	POST /v1/adapt {"action":"stop"}                       detach it
+//	POST /v1/adapt {"action":"start","interval":3600,...}  attach the loops
+//	POST /v1/adapt {"action":"stop"}                       detach them
 //	GET  /v1/adapt                                         loop status
 //
-// While a loop is attached, every successful submit feeds its observation
-// window, and every mutating request that moves the logical clock also
-// runs any adaptation round that came due — the periodic trigger rides on
-// the clock the requests already carry, so the daemon stays free of
-// background goroutines and the loop stays deterministic for a given
-// request stream. Promotions apply through the same policy hot-swap the
-// /v1/policy endpoint uses, under the same lock.
+// While a loop is attached, every successful submit feeds its shard's
+// observation window, and every mutating request that moves a shard's
+// logical clock also runs any adaptation round that came due there — the
+// periodic trigger rides on the clock the requests already carry, so the
+// daemon stays free of background goroutines and the loop stays
+// deterministic for a given request stream. Promotions apply through the
+// same policy hot-swap the /v1/policy endpoint uses, on that shard.
 //
 // A round retrains from the observed window and shadow-evaluates the
 // candidates, which costs a few hundred milliseconds at the default
-// sizing (BenchmarkAdaptiveLoop); it runs on the scheduler thread — the
+// sizing (BenchmarkAdaptiveLoop); it runs under its shard's lock — the
 // request that trips an interval boundary stalls for the round, and the
-// daemon serves nothing else meanwhile — so shrink tuples/trials if that
-// latency spike matters.
+// shard serves nothing else meanwhile (other shards do) — so shrink
+// tuples/trials if that latency spike matters.
 
 // adaptRequest is the /v1/adapt POST body. Zero sizing fields select the
 // adaptive package defaults; interval is required for "start".
@@ -62,12 +64,16 @@ func (sv *server) adapt(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validateAdapt caps the sizing fields a start request may carry: the
-// window is backed by a real allocation and every round runs inline
-// under the server lock, so one unbounded request must not be able to
-// OOM the daemon or wedge it in an hours-long round. Deliberately larger
-// experiments belong in the library API, not at the network boundary.
+// validateAdapt requires a positive interval and caps the sizing fields
+// a start request may carry: the window is backed by a real allocation
+// and every round runs inline under a shard lock, so one unbounded
+// request must not be able to OOM the daemon or wedge it in an
+// hours-long round. Deliberately larger experiments belong in the
+// library API, not at the network boundary.
 func validateAdapt(req *adaptRequest) error {
+	if !(req.Interval > 0) {
+		return adaptive.ErrNoInterval
+	}
 	for _, f := range []struct {
 		name string
 		got  int
@@ -96,13 +102,14 @@ func (sv *server) adaptControl(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	var rec durable.Record
 	switch req.Action {
 	case "start":
 		if err := validateAdapt(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		rec := durable.Record{Op: durable.OpAdaptStart, Adapt: &durable.AdaptConfig{
+		rec = durable.Record{Op: durable.OpAdaptStart, Adapt: &durable.AdaptConfig{
 			Window:    req.Window,
 			MinWindow: req.MinWindow,
 			Interval:  req.Interval,
@@ -117,52 +124,17 @@ func (sv *server) adaptControl(w http.ResponseWriter, r *http.Request) {
 			Workers:   req.Workers,
 			Seed:      req.Seed,
 		}}
-		sv.mu.Lock()
-		_, err := sv.applyJournal(&rec)
-		sv.mu.Unlock()
-		if err != nil {
-			writeErr(w, errStatus(err), err.Error())
-			return
-		}
-		sv.adaptStatus(w)
 	case "stop":
-		rec := durable.Record{Op: durable.OpAdaptStop}
-		sv.mu.Lock()
-		_, err := sv.applyJournal(&rec)
-		sv.mu.Unlock()
-		if err != nil {
-			writeErr(w, errStatus(err), err.Error())
-			return
-		}
-		sv.adaptStatus(w)
+		rec = durable.Record{Op: durable.OpAdaptStop}
 	default:
 		writeErr(w, http.StatusBadRequest, "action must be \"start\" or \"stop\"")
-	}
-}
-
-// adaptStep runs any adaptation round due at the current clock and
-// applies its promotion. It is called with sv.mu held, after a mutating
-// request succeeded. Loop errors are recorded for /v1/adapt rather than
-// failing the request that happened to trigger the round.
-func (sv *server) adaptStep() {
-	if sv.ad == nil {
 		return
 	}
-	d, err := sv.ad.Tick(sv.s.Clock(), sv.s.Policy())
-	if err != nil {
-		sv.adErr = err
-		sv.ad = nil // a broken loop must not re-fail every request
+	if _, _, _, err := sv.apply(&rec, nil); err != nil {
+		writeHandlerErr(w, err)
 		return
 	}
-	if d != nil && d.Promoted {
-		if err := sv.s.SetPolicy(d.Policy); err != nil {
-			sv.adErr = err
-		} else {
-			// Keep the snapshot descriptor pointing at the live policy; a
-			// restored daemon reparses the promoted expression.
-			sv.policyName, sv.policyExpr = d.Policy.Name(), d.PolicyExpr
-		}
-	}
+	sv.adaptStatus(w)
 }
 
 // adaptDecision is the status rendering of one adaptation round.
@@ -187,6 +159,9 @@ type adaptCandidate struct {
 }
 
 func renderDecision(d *adaptive.Decision) *adaptDecision {
+	if d == nil {
+		return nil
+	}
 	out := &adaptDecision{
 		At:            d.At,
 		Round:         d.Round,
@@ -207,32 +182,69 @@ func renderDecision(d *adaptive.Decision) *adaptDecision {
 	return out
 }
 
-func (sv *server) adaptStatus(w http.ResponseWriter) {
-	resp := struct {
-		Enabled    bool           `json:"enabled"`
-		Window     int            `json:"window,omitempty"`
-		NextCheck  float64        `json:"next_check,omitempty"`
-		Rounds     int            `json:"rounds"`
-		Promotions int            `json:"promotions"`
-		Policy     string         `json:"policy"`
-		LastError  string         `json:"last_error,omitempty"`
-		Last       *adaptDecision `json:"last,omitempty"`
-	}{}
-	sv.mu.Lock()
-	resp.Policy = sv.s.Policy().Name()
-	if sv.adErr != nil {
-		resp.LastError = sv.adErr.Error()
+// adaptLoop is the rendering of one loop's status — a shard's, or the
+// daemon's aggregate over its shards.
+type adaptLoop struct {
+	Enabled    bool           `json:"enabled"`
+	Window     int            `json:"window,omitempty"`
+	NextCheck  float64        `json:"next_check,omitempty"`
+	Rounds     int            `json:"rounds"`
+	Promotions int            `json:"promotions"`
+	Policy     string         `json:"policy"`
+	LastError  string         `json:"last_error,omitempty"`
+	Last       *adaptDecision `json:"last,omitempty"`
+}
+
+func renderLoop(a *fed.AdaptShard) adaptLoop {
+	return adaptLoop{
+		Enabled: a.Enabled, Window: a.Window, NextCheck: a.NextCheck,
+		Rounds: a.Rounds, Promotions: a.Promotions, Policy: a.Policy,
+		LastError: a.LastError, Last: renderDecision(a.Last),
 	}
-	if sv.ad != nil {
-		resp.Enabled = true
-		resp.Window = sv.ad.WindowLen()
-		resp.NextCheck = sv.ad.NextCheck()
-		resp.Rounds = sv.ad.Rounds()
-		resp.Promotions = sv.ad.Promotions()
-		if d := sv.ad.LastDecision(); d != nil {
-			resp.Last = renderDecision(d)
+}
+
+// adaptStatus renders the aggregate over the shards' loops — enabled if
+// any is, windows, rounds and promotions summed, the earliest next
+// round, the most recent decision, the first failure — with each
+// shard's own status under per_shard. With one shard the aggregate IS
+// that shard's loop.
+func (sv *server) adaptStatus(w http.ResponseWriter) {
+	shards := sv.fd.AdaptStatus()
+	resp := struct {
+		adaptLoop
+		PerShard []adaptLoop `json:"per_shard"`
+	}{PerShard: make([]adaptLoop, len(shards))}
+	agg := &resp.adaptLoop
+	var last *adaptive.Decision
+	for i := range shards {
+		a := &shards[i]
+		resp.PerShard[i] = renderLoop(a)
+		switch {
+		case i == 0:
+			agg.Policy = a.Policy
+		case a.Policy != agg.Policy:
+			agg.Policy = "mixed"
+		}
+		if a.LastError != "" && agg.LastError == "" {
+			agg.LastError = a.LastError
+			if len(shards) > 1 {
+				agg.LastError = fmt.Sprintf("shard %d: %s", i, a.LastError)
+			}
+		}
+		if !a.Enabled {
+			continue
+		}
+		if !agg.Enabled || a.NextCheck < agg.NextCheck {
+			agg.NextCheck = a.NextCheck
+		}
+		agg.Enabled = true
+		agg.Window += a.Window
+		agg.Rounds += a.Rounds
+		agg.Promotions += a.Promotions
+		if a.Last != nil && (last == nil || a.Last.At > last.At) {
+			last = a.Last
 		}
 	}
-	sv.mu.Unlock()
+	agg.Last = renderDecision(last)
 	marshalJSON(w, resp)
 }

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // adaptStatusReply mirrors the /v1/adapt GET rendering.
@@ -91,16 +86,10 @@ func TestScheddAdaptLifecycle(t *testing.T) {
 func TestScheddAdaptLoopRetrainsAndPromotes(t *testing.T) {
 	// A 64-core machine under a policy whose giant s-coefficient makes it
 	// near-FCFS on small jobs (the stale incumbent of the examples).
-	stale, err := sched.ParseExpr("STALE", "r*n + 6.86e6*log10(s)")
-	if err != nil {
-		t.Fatal(err)
+	ts := newTestServer(t, 64)
+	if code, r := post(t, ts, "/v1/policy", `{"name":"STALE","expr":"r*n + 6.86e6*log10(s)"}`); code != 200 {
+		t.Fatalf("deploying the stale policy: code=%d reply=%+v", code, r)
 	}
-	s, err := online.New(64, online.Options{Policy: stale, Backfill: sim.BackfillEASY, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(s, 64, false).handler())
-	defer ts.Close()
 
 	code, _ := post(t, ts, "/v1/adapt",
 		`{"action":"start","interval":900,"window":96,"min_window":48,"tuples":2,"trials":32,"topk":2,"margin":0.05,"seed":11}`)
@@ -173,12 +162,15 @@ func TestScheddAdaptLoopRetrainsAndPromotes(t *testing.T) {
 		t.Fatalf("promotion did not swap the scheduler policy: %+v", st)
 	}
 	// The scheduler's own status agrees with the adapt view.
-	var sst struct{ Policy string }
+	var sst struct {
+		Policy             string `json:"policy"`
+		InvariantViolation string `json:"invariant_violation"`
+	}
 	get(t, ts, "/v1/status", &sst)
 	if sst.Policy != st.Policy {
 		t.Fatalf("policy views disagree: %q vs %q", sst.Policy, st.Policy)
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("invariant violation: %v", err)
+	if sst.InvariantViolation != "" {
+		t.Fatalf("invariant violation: %s", sst.InvariantViolation)
 	}
 }

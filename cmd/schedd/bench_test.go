@@ -6,10 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // BenchmarkScheddEvents measures the daemon's serving loop — JSON decode,
@@ -20,11 +16,13 @@ import (
 // (the scheduler core itself is allocation-free in steady state, see
 // internal/online's BenchmarkSchedulerSteadyState).
 func BenchmarkScheddEvents(b *testing.B) {
-	s, err := online.New(64, online.Options{Policy: sched.F1(), Backfill: sim.BackfillEASY})
+	cfg := testConfig(64)
+	cfg.policy, cfg.check = "F1", false
+	fd, err := openFederation(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := newServer(s, 64, false).handler()
+	h := newServer(fd, cfg).handler()
 	var body strings.Reader
 	do := func(path, payload string) {
 		body.Reset(payload)

@@ -1,12 +1,12 @@
 // The compact binary listener: length-prefixed record frames (see
 // internal/fed: wire.go) carrying the same mutations as the HTTP/JSON
 // endpoints, minus the JSON. One goroutine per connection reads frames
-// through a buffered reader, applies the records through a backend
-// shared with the HTTP handlers (the single server's journal path or the
-// federation), and writes the framed response through a buffered writer
-// that only flushes when the connection has no further request buffered
-// — so a client streaming batches pays one syscall per pipeline stall,
-// not one per record.
+// through a buffered reader, applies the records through the server's
+// one mutation path (server.apply, shared with the HTTP handlers), and
+// writes the framed response through a buffered writer that only
+// flushes when the connection has no further request buffered — so a
+// client streaming batches pays one syscall per pipeline stall, not one
+// per record.
 
 package main
 
@@ -20,43 +20,28 @@ import (
 	"github.com/hpcsched/gensched/internal/online"
 )
 
-// binaryHandler applies one request frame's records in order and
-// reports the resulting clock plus every start notification, appended to
-// buf. Implemented by *server (journal path, under its mutex) and
-// *fedServer (routed across shards). An error aborts the batch at the
-// failing record; prior records stay applied, exactly as if they had
-// been sent as separate frames.
-type binaryHandler interface {
-	applyWire(recs []durable.Record, buf []online.Start) (now float64, starts []online.Start, err error)
-}
-
-// applyWire implements binaryHandler on the single-engine server: every
-// record runs the same apply+journal path as its HTTP equivalent, and
-// the whole batch holds the mutex once.
+// applyWire applies one request frame's records in order through the
+// same path as their HTTP equivalents and reports the resulting clock
+// plus every start notification, appended to buf. An error aborts the
+// batch at the failing record; prior records stay applied, exactly as
+// if they had been sent as separate frames.
 func (sv *server) applyWire(recs []durable.Record, buf []online.Start) (float64, []online.Start, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+	var clock float64
 	for i := range recs {
 		if err := checkWireOp(recs[i].Op); err != nil {
-			return sv.s.Clock(), buf, err
+			return clock, buf, err
 		}
-		if recs[i].Op == durable.OpSubmit {
-			if err := recs[i].Job.Validate(sv.cores); err != nil {
-				return sv.s.Clock(), buf, badRequest(err)
-			}
+		var err error
+		if _, buf, clock, err = sv.apply(&recs[i], buf); err != nil {
+			return clock, buf, err
 		}
-		st, err := sv.applyJournal(&recs[i])
-		if err != nil {
-			return sv.s.Clock(), buf, err
-		}
-		buf = append(buf, st...) // copy out of the scheduler's scratch
 	}
-	return sv.s.Clock(), buf, nil
+	return clock, buf, nil
 }
 
-// checkWireOp restricts the wire to client-facing mutations: the journal
-// codec can express genesis and adapt records, but those are the
-// daemon's own to write.
+// checkWireOp restricts the wire to the scheduling mutations: the
+// journal codec can also express genesis records, which are the
+// daemon's own to write, and adaptive-loop control, which is /v1/adapt's.
 func checkWireOp(op durable.Op) error {
 	switch op {
 	case durable.OpSubmit, durable.OpComplete, durable.OpAdvance, durable.OpPolicy:
@@ -73,8 +58,8 @@ func (e *wireOpError) Error() string {
 
 // binServer owns the binary listener and its connections.
 type binServer struct {
-	l net.Listener
-	h binaryHandler
+	l  net.Listener
+	sv *server
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -82,8 +67,8 @@ type binServer struct {
 	wg      sync.WaitGroup
 }
 
-func newBinServer(l net.Listener, h binaryHandler) *binServer {
-	return &binServer{l: l, h: h, conns: make(map[net.Conn]struct{})}
+func newBinServer(l net.Listener, sv *server) *binServer {
+	return &binServer{l: l, sv: sv, conns: make(map[net.Conn]struct{})}
 }
 
 // start launches the accept loop.
@@ -169,9 +154,9 @@ func (b *binServer) serveConn(c net.Conn) {
 			resp = fed.AppendErrResp(resp, 400, false, err.Error())
 		} else {
 			var now float64
-			now, starts, err = b.h.applyWire(recs, starts[:0])
+			now, starts, err = b.sv.applyWire(recs, starts[:0])
 			if err != nil {
-				resp = fed.AppendErrResp(resp, errStatus(err), errRetryable(err), err.Error())
+				resp = fed.AppendErrResp(resp, errStatus(err), fed.Retryable(err), err.Error())
 			} else {
 				resp = fed.AppendOKResp(resp, now, starts)
 			}

@@ -4,23 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // TestScheddConcurrentClients hammers every mutating endpoint from many
 // goroutine clients at once — the serial handler tests never exercise the
-// daemon's locking. Submitters race each other and a completer; a flipper
-// hot-swaps the policy mid-traffic; an advancer nudges the clock; a
-// poller watches /v1/status throughout. Run under -race this checks the
+// daemon's locking. Two shards each run an adaptive loop; submitters race
+// each other and a completer; a flipper hot-swaps the policy
+// mid-traffic; an advancer nudges the clocks; a poller watches
+// /v1/status and /v1/adapt throughout. Run under -race this checks the
 // daemon's synchronization; the assertions check its semantics under
 // interleaving:
 //
@@ -37,16 +33,9 @@ func TestScheddConcurrentClients(t *testing.T) {
 		perClient  = 120
 	)
 	total := submitters * perClient
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(s, 64, false).handler())
-	defer ts.Close()
+	cfg := testConfig(cores)
+	cfg.shards = 2
+	_, ts := startServer(t, cfg)
 	client := ts.Client()
 	client.Transport.(*http.Transport).MaxIdleConnsPerHost = 16
 
@@ -122,6 +111,10 @@ func TestScheddConcurrentClients(t *testing.T) {
 		}
 		completedTotal.Add(1)
 		record(&r)
+	}
+
+	if code, r := doPost("/v1/adapt", `{"action":"start","interval":40,"window":64,"min_window":8,"tuples":1,"trials":8,"topk":1,"workers":1,"seed":3}`); code != 200 {
+		t.Fatalf("adapt start: %d %s", code, r.Error)
 	}
 
 	// The storm: submitters, a completer, a policy flipper, an advancer.
@@ -228,6 +221,23 @@ func TestScheddConcurrentClients(t *testing.T) {
 			if st.InvariantViolation != "" {
 				fail("invariant violation: %s", st.InvariantViolation)
 			}
+			resp, err = client.Get(ts.URL + "/v1/adapt")
+			if err != nil {
+				fail("adapt: %v", err)
+				return
+			}
+			var ad struct {
+				LastError string `json:"last_error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&ad)
+			resp.Body.Close()
+			if err != nil {
+				fail("adapt: mangled body: %v", err)
+				return
+			}
+			if ad.LastError != "" {
+				fail("adaptive loop failed: %s", ad.LastError)
+			}
 		}
 	}()
 
@@ -266,12 +276,18 @@ func TestScheddConcurrentClients(t *testing.T) {
 	// Final ground truth from the server.
 	var fin struct {
 		Queued, Running, Submitted, Completed int
+		InvariantViolation                    string `json:"invariant_violation"`
 	}
 	get(t, ts, "/v1/status", &fin)
 	if fin.Submitted != total || fin.Completed != total || fin.Queued != 0 || fin.Running != 0 {
 		t.Fatalf("final state inconsistent: %+v (want %d submitted and completed, nothing active)", fin, total)
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("invariant violation: %v", err)
+	if fin.InvariantViolation != "" {
+		t.Fatalf("invariant violation: %s", fin.InvariantViolation)
+	}
+	var ad adaptStatusReply
+	get(t, ts, "/v1/adapt", &ad)
+	if !ad.Enabled || ad.Rounds == 0 {
+		t.Fatalf("the adaptive loops never retrained under the storm: %+v", ad)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,17 +12,18 @@ import (
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/schedcore"
-	"github.com/hpcsched/gensched/internal/sim"
 	"github.com/hpcsched/gensched/internal/simtest"
 	"github.com/hpcsched/gensched/internal/workload"
 )
 
-// The crash-point tests: kill the daemon's on-disk state at every record
-// boundary (and inside record frames), recover, replay the rest of the
-// op stream, and require the final state to be BIT-IDENTICAL to an
-// uninterrupted run — compared as canonical snapshot bytes, which cover
-// the engine image, every metrics aggregate, the active policy
-// descriptor and the adaptive loop's state.
+// The crash-point tests: kill a one-shard daemon's on-disk state at
+// every record boundary (and inside record frames), recover, replay the
+// rest of the op stream through the daemon's mutation path, and require
+// the final state to be BIT-IDENTICAL to an uninterrupted run — compared
+// as canonical snapshot bytes, which cover the engine image, every
+// metrics aggregate, the active policy descriptor and the adaptive
+// loop's state. (internal/fed's crash suite covers 1/4/8 shards without
+// the adaptive loop.)
 
 // scriptOps turns a workload into the deterministic operation stream a
 // live client would produce: submissions at their submit times and
@@ -29,12 +31,10 @@ import (
 // scheduler chose (which requires actually running the scheduler while
 // scripting — the stream depends on its decisions). Control ops (policy
 // swap, adaptive start/stop) are injected at fixed op counts.
-func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withControl bool) []durable.Record {
+func scriptOps(t *testing.T, cfg daemonConfig, jobs []workload.Job, withControl bool) []durable.Record {
 	t.Helper()
-	sv, err := buildServer(init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.dataDir = ""
+	sv, _ := startServer(t, cfg)
 	var h schedcore.EventHeap
 	for i := range jobs {
 		h.Push(schedcore.Event{Time: jobs[i].Submit, Kind: schedcore.KindArrival, Ref: i})
@@ -61,7 +61,7 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			// the stream stops it, or the sweep isn't exercising adaptive
 			// recovery. The real runs replay this exact deterministic
 			// stream, so asserting here covers them all.
-			if sv.ad == nil || sv.ad.Rounds() == 0 {
+			if a := sv.fd.AdaptStatus()[0]; !a.Enabled || a.Rounds == 0 {
 				t.Fatal("scripted stream never ran an adaptation round; retune the injection points")
 			}
 			ops = append(ops, durable.Record{Op: durable.OpAdaptStop})
@@ -69,14 +69,14 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			return
 		}
 		rec := ops[len(ops)-1]
-		if _, err := sv.apply(&rec); err != nil {
+		if _, _, _, err := sv.apply(&rec, nil); err != nil {
 			t.Fatalf("scripting op %d (%v): %v", len(ops)-1, rec.Op, err)
 		}
 		inject() // two injection counts can collide on one boundary
 	}
 	step := func(rec durable.Record) []online.Start {
 		inject()
-		starts, err := sv.apply(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("scripting op %d (%v): %v", len(ops), rec.Op, err)
 		}
@@ -104,62 +104,91 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			push(step(durable.Record{Op: durable.OpComplete, Now: ev.Time, ID: jobs[ev.Ref].ID}))
 		}
 	}
-	if err := sv.s.Err(); err != nil {
-		t.Fatalf("scripting run violated invariants: %v", err)
+	if v := sv.fd.Status().Violation; v != "" {
+		t.Fatalf("scripting run violated invariants: %s", v)
 	}
 	return ops
 }
 
 // fingerprint is the canonical byte image of everything the daemon would
-// checkpoint, with the journal sequence zeroed so runs that checkpointed
-// at different moments still compare equal iff their state is equal.
+// checkpoint — the one shard's snapshot, journal sequence left zero — so
+// runs that checkpointed at different moments still compare equal iff
+// their state is equal.
 func fingerprint(t *testing.T, sv *server) []byte {
 	t.Helper()
-	snap, err := sv.buildSnapshot()
+	snap, err := sv.fd.ShardSnapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Seq = 0
 	return durable.EncodeSnapshot(snap)
 }
 
-func copyDir(t *testing.T, src, dst string) {
+// schedFingerprint is fingerprint restricted to what scheduling decides —
+// the engine image, the aggregates and the adaptive loop — leaving out
+// the boot descriptors and routing mirrors only a journaled shard keeps.
+func schedFingerprint(t *testing.T, sv *server) []byte {
 	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
+	snap, err := sv.fd.ShardSnapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+	return durable.EncodeSnapshot(&durable.Snapshot{Sched: snap.Sched, Adapt: snap.Adapt})
+}
+
+// copyDir clones a data directory recursively: kill -9 at an op
+// boundary, shard subdirectories included.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, werr error) error {
+		if werr != nil {
+			return werr
+		}
+		rel, err := filepath.Rel(src, p)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// runJournaled boots a durable server on dir, applies ops, and calls
+// shard0 is where a one-shard daemon journals under its data directory.
+func shard0(dir string) string { return filepath.Join(dir, "shard-0000") }
+
+// openJournaled boots a journaled one-shard daemon on dir.
+func openJournaled(t *testing.T, cfg daemonConfig, dir string, ckptEvery float64) *server {
+	t.Helper()
+	cfg.dataDir, cfg.ckptEvery = dir, ckptEvery
+	fd, err := openFederation(cfg)
+	if err != nil {
+		t.Fatalf("boot on %s: %v", dir, err)
+	}
+	return newServer(fd, cfg)
+}
+
+// runJournaled boots a durable daemon on dir, applies ops, and calls
 // after(k) once the k-th op is on disk. Returns the server and a copy of
 // every op's start notifications.
-func runJournaled(t *testing.T, dir string, init durable.InitState, ops []durable.Record, ckptEvery float64, after func(k int)) (*server, [][]online.Start) {
+func runJournaled(t *testing.T, dir string, cfg daemonConfig, ops []durable.Record, ckptEvery float64, after func(k int)) (*server, [][]online.Start) {
 	t.Helper()
-	sv, err := openDurable(dir, 1, ckptEvery, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := openJournaled(t, cfg, dir, ckptEvery)
 	startsLog := make([][]online.Start, len(ops))
 	for k := range ops {
 		rec := ops[k]
-		starts, err := sv.applyJournal(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("op %d (%v): %v", k, rec.Op, err)
 		}
-		startsLog[k] = append([]online.Start(nil), starts...)
+		startsLog[k] = starts
 		if after != nil {
 			after(k)
 		}
@@ -170,15 +199,12 @@ func runJournaled(t *testing.T, dir string, init durable.InitState, ops []durabl
 // recoverAndFinish reopens a crashed data directory, replays ops[from:]
 // (checking each op's starts against the uninterrupted run), and returns
 // the final fingerprint.
-func recoverAndFinish(t *testing.T, dir string, init durable.InitState, ops []durable.Record, startsLog [][]online.Start, from int, ckptEvery float64) []byte {
+func recoverAndFinish(t *testing.T, dir string, cfg daemonConfig, ops []durable.Record, startsLog [][]online.Start, from int, ckptEvery float64) []byte {
 	t.Helper()
-	sv, err := openDurable(dir, 1, ckptEvery, init, false, true)
-	if err != nil {
-		t.Fatalf("recovery from crash point %d: %v", from, err)
-	}
+	sv := openJournaled(t, cfg, dir, ckptEvery)
 	for k := from; k < len(ops); k++ {
 		rec := ops[k]
-		starts, err := sv.applyJournal(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("crash point %d: reapplying op %d (%v): %v", from, k, rec.Op, err)
 		}
@@ -194,10 +220,17 @@ func recoverAndFinish(t *testing.T, dir string, init durable.InitState, ops []du
 		}
 	}
 	fp := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatalf("crash point %d: shutdown: %v", from, err)
 	}
 	return fp
+}
+
+// crashConfig is the daemon the crash sweeps run.
+func crashConfig(cores int, backfill, policy string, estimates bool) daemonConfig {
+	cfg := testConfig(cores)
+	cfg.backfill, cfg.policy, cfg.estimates = backfill, policy, estimates
+	return cfg
 }
 
 func crashWorkload(t *testing.T, seed uint64, n, cores int) []workload.Job {
@@ -214,46 +247,44 @@ func TestCrashRecoveryEveryRecord(t *testing.T) {
 		n = 18
 	}
 	const cores = 16
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), UseEstimates: true, PolicyName: "F1"}
+	cfg := crashConfig(cores, "easy", "F1", true)
 	jobs := crashWorkload(t, 42, n, cores)
-	ops := scriptOps(t, init, jobs, false)
+	ops := scriptOps(t, cfg, jobs, false)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, 0, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, 0, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
 	want := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	wantSched := schedFingerprint(t, sv)
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A non-durable server applying the same stream: journaling must not
+	// An in-memory daemon applying the same stream: journaling must not
 	// perturb scheduling at all.
-	plain, err := buildServer(init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, _ := startServer(t, cfg)
 	for k := range ops {
 		rec := ops[k]
-		if _, err := plain.apply(&rec); err != nil {
+		if _, _, _, err := plain.apply(&rec, nil); err != nil {
 			t.Fatalf("plain op %d: %v", k, err)
 		}
 	}
-	if !bytes.Equal(fingerprint(t, plain), want) {
+	if !bytes.Equal(schedFingerprint(t, plain), wantSched) {
 		t.Fatal("journaled run diverged from the in-memory run")
 	}
 
 	// Every record boundary: recover, replay the remainder, compare.
 	for k := range ops {
-		if got := recoverAndFinish(t, crashAt(k), init, ops, startsLog, k+1, 0); !bytes.Equal(got, want) {
+		if got := recoverAndFinish(t, crashAt(k), cfg, ops, startsLog, k+1, 0); !bytes.Equal(got, want) {
 			t.Fatalf("crash after op %d: recovered state differs from uninterrupted run", k)
 		}
 	}
 	// The graceful-shutdown path: the live dir now holds a final
 	// checkpoint; recovery from it must land on the same state.
-	if got := recoverAndFinish(t, live, init, ops, startsLog, len(ops), 0); !bytes.Equal(got, want) {
+	if got := recoverAndFinish(t, live, cfg, ops, startsLog, len(ops), 0); !bytes.Equal(got, want) {
 		t.Fatal("recovery from the final checkpoint differs from uninterrupted run")
 	}
 }
@@ -267,25 +298,25 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		n = 10
 	}
 	const cores = 8
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillConservative), PolicyName: "FCFS"}
+	cfg := crashConfig(cores, "conservative", "FCFS", false)
 	jobs := crashWorkload(t, 7, n, cores)
-	ops := scriptOps(t, init, jobs, false)
+	ops := scriptOps(t, cfg, jobs, false)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, 0, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, 0, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
 	want := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	for k := 1; k < len(ops); k += 3 {
 		// The dir copy at k ends with op k's frame; chop bytes off its
 		// tail so recovery sees a torn append of op k.
-		dir := crashAt(k)
+		dir := shard0(crashAt(k))
 		names, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -307,12 +338,12 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 				continue
 			}
 			torn := filepath.Join(base, fmt.Sprintf("torn-%04d-%d", k, cut))
-			copyDir(t, dir, torn)
-			if err := os.WriteFile(filepath.Join(torn, filepath.Base(segPath)), full[:len(full)-cut], 0o644); err != nil {
+			copyDir(t, crashAt(k), torn)
+			if err := os.WriteFile(filepath.Join(shard0(torn), filepath.Base(segPath)), full[:len(full)-cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			// Op k's append was torn away: recovery resumes from op k.
-			if got := recoverAndFinish(t, torn, init, ops, startsLog, k, 0); !bytes.Equal(got, want) {
+			if got := recoverAndFinish(t, torn, cfg, ops, startsLog, k, 0); !bytes.Equal(got, want) {
 				t.Fatalf("torn tail at op %d (cut %d): recovered state differs", k, cut)
 			}
 		}
@@ -323,6 +354,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 // copy, so the caller can compute the last op's frame length.
 func segmentLenAfter(t *testing.T, dir string) int {
 	t.Helper()
+	dir = shard0(dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -352,40 +384,40 @@ func TestCrashRecoveryWithCheckpointsAndAdaptive(t *testing.T) {
 	}
 	const cores = 16
 	const ckptEvery = 150 // logical seconds; the op stream spans far more
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), UseEstimates: true, PolicyName: "F1"}
+	cfg := crashConfig(cores, "easy", "F1", true)
 	jobs := crashWorkload(t, 1234, n, cores)
-	ops := scriptOps(t, init, jobs, true)
+	ops := scriptOps(t, cfg, jobs, true)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, ckptEvery, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, ckptEvery, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
-	if got, wantSeq := sv.store.Seq(), uint64(len(ops)+1); got != wantSeq {
+	if got, wantSeq := sv.fd.Health()[0].Seq, uint64(len(ops)+1); got != wantSeq {
 		t.Fatalf("journal sequence after the run = %d, want %d (genesis + ops)", got, wantSeq)
 	}
 	want := fingerprint(t, sv)
-	if sv.ad != nil {
+	if sv.fd.AdaptStatus()[0].Enabled {
 		t.Fatal("scripted stream should have stopped the adaptive loop")
 	}
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	sawSnapshot := false
 	for k := range ops {
-		if _, err := os.Stat(filepath.Join(crashAt(k), "snapshot")); err == nil {
+		if _, err := os.Stat(filepath.Join(shard0(crashAt(k)), "snapshot")); err == nil {
 			sawSnapshot = true
 		}
-		if got := recoverAndFinish(t, crashAt(k), init, ops, startsLog, k+1, ckptEvery); !bytes.Equal(got, want) {
+		if got := recoverAndFinish(t, crashAt(k), cfg, ops, startsLog, k+1, ckptEvery); !bytes.Equal(got, want) {
 			t.Fatalf("crash after op %d: recovered state differs from uninterrupted run", k)
 		}
 	}
 	if !sawSnapshot {
 		t.Fatal("no crash point contained a checkpoint; lower ckptEvery")
 	}
-	if got := recoverAndFinish(t, live, init, ops, startsLog, len(ops), ckptEvery); !bytes.Equal(got, want) {
+	if got := recoverAndFinish(t, live, cfg, ops, startsLog, len(ops), ckptEvery); !bytes.Equal(got, want) {
 		t.Fatal("recovery from the final checkpoint differs from uninterrupted run")
 	}
 }
@@ -393,35 +425,29 @@ func TestCrashRecoveryWithCheckpointsAndAdaptive(t *testing.T) {
 // TestDataDirFlagMismatch pins the guard: a journal recorded under one
 // machine shape refuses to boot under different flags.
 func TestDataDirFlagMismatch(t *testing.T) {
-	const cores = 8
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), PolicyName: "FCFS"}
 	dir := t.TempDir()
-	sv, err := openDurable(dir, 1, 0, init, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(8)
+	cfg.check = false
+	sv := openJournaled(t, cfg, dir, 0)
 	rec := durable.Record{Op: durable.OpSubmit, Now: 1, Job: workload.Job{ID: 1, Submit: 1, Runtime: 10, Cores: 1}}
-	if _, err := sv.applyJournal(&rec); err != nil {
+	if _, _, _, err := sv.apply(&rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	bad := init
-	bad.Cores = 16
-	if _, err := openDurable(dir, 1, 0, bad, false, false); err == nil {
+	bad := cfg
+	bad.cores, bad.dataDir = 16, dir
+	if _, err := openFederation(bad); err == nil {
 		t.Fatal("boot accepted a journal recorded with different cores")
 	}
 	// The original shape still boots, and the submitted job survived.
-	sv2, err := openDurable(dir, 1, 0, init, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sv2.s.Status()
+	sv2 := openJournaled(t, cfg, dir, 0)
+	st := sv2.fd.Status()
 	if st.Running+st.Queued != 1 {
 		t.Fatalf("recovered status lost the job: %+v", st)
 	}
-	if err := sv2.shutdownStore(); err != nil {
+	if err := sv2.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }

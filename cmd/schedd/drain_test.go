@@ -4,37 +4,33 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/hpcsched/gensched/internal/durable"
 )
 
-func durableTestInit(cores int) durable.InitState {
-	return durable.InitState{Cores: cores, Backfill: 1, PolicyName: "FCFS"}
+// durableTestConfig is testConfig journaling to dir with no checkpoint
+// cadence: checkpoints happen only at drain.
+func durableTestConfig(dir string) daemonConfig {
+	cfg := testConfig(8)
+	cfg.dataDir = dir
+	return cfg
 }
 
 // TestDrainRefusesLateMutationsAndClosesJournal pins the graceful-drain
-// ordering: drainStore waits out in-flight mutations (it takes the same
-// mutex), closes the journal after the last one, and every later
+// ordering: the drain waits out in-flight mutations (it takes every
+// shard lock), closes the journal after the last one, and every later
 // mutation gets 503 — while /healthz stays 200, because a clean drain is
 // not a store failure.
 func TestDrainRefusesLateMutationsAndClosesJournal(t *testing.T) {
 	dir := t.TempDir()
-	sv, err := openDurable(dir, 1, 0, durableTestInit(8), false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(sv.handler())
-	defer ts.Close()
+	sv, ts := startServer(t, durableTestConfig(dir))
 	if code, r := post(t, ts, "/v1/submit", `{"id":1,"cores":2,"runtime":50,"estimate":50}`); code != 200 {
 		t.Fatalf("submit: code=%d reply=%+v", code, r)
 	}
-	if err := sv.drainStore(); err != nil {
-		t.Fatalf("drainStore: %v", err)
+	if err := sv.fd.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 	code, r := post(t, ts, "/v1/submit", `{"id":2,"cores":1,"runtime":10,"estimate":10}`)
 	if code != http.StatusServiceUnavailable || !strings.Contains(r.Error, "draining") {
@@ -50,20 +46,20 @@ func TestDrainRefusesLateMutationsAndClosesJournal(t *testing.T) {
 	}
 	// Idempotent: the post-serve safety net must not double-close or
 	// invent an error.
-	if err := sv.shutdownStore(); err != nil {
-		t.Fatalf("shutdownStore after drain: %v", err)
+	if err := sv.fd.Drain(); err != nil {
+		t.Fatalf("second drain: %v", err)
 	}
 	// The drain checkpointed: a reopen recovers from the snapshot with
 	// zero journal replay.
-	sv2, err := openDurable(dir, 1, 0, durableTestInit(8), false, true)
+	fd, err := openFederation(durableTestConfig(dir))
 	if err != nil {
 		t.Fatalf("reopen after drain: %v", err)
 	}
-	defer func() { _ = sv2.shutdownStore() }()
-	if !sv2.recov.FromSnapshot || sv2.recov.Replayed != 0 {
-		t.Fatalf("recovery after drain: %+v, want snapshot with 0 replayed", sv2.recov)
+	defer func() { _ = fd.Drain() }()
+	if h := fd.Health()[0]; !h.FromSnapshot || h.Replayed != 0 {
+		t.Fatalf("recovery after drain: %+v, want snapshot with 0 replayed", h)
 	}
-	st := sv2.s.Status()
+	st := fd.Status()
 	if st.Submitted != 1 || st.Running != 1 {
 		t.Fatalf("recovered status: %+v", st)
 	}
@@ -71,16 +67,11 @@ func TestDrainRefusesLateMutationsAndClosesJournal(t *testing.T) {
 
 // TestDrainFsyncFailureLatchesStore pins the failure half of the drain
 // contract: when the final flush fails, the store latches the error —
-// /healthz turns 503 for the rest of the grace window — and drainStore
+// /healthz turns 503 for the rest of the grace window — and the drain
 // reports it instead of pretending the daemon drained cleanly.
 func TestDrainFsyncFailureLatchesStore(t *testing.T) {
 	dir := t.TempDir()
-	sv, err := openDurable(dir, 1, 0, durableTestInit(8), false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(sv.handler())
-	defer ts.Close()
+	sv, ts := startServer(t, durableTestConfig(dir))
 	if code, r := post(t, ts, "/v1/submit", `{"id":1,"cores":2,"runtime":50,"estimate":50}`); code != 200 {
 		t.Fatalf("submit: code=%d reply=%+v", code, r)
 	}
@@ -88,8 +79,8 @@ func TestDrainFsyncFailureLatchesStore(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.drainStore(); err == nil {
-		t.Fatal("drainStore reported a clean drain with its data directory gone")
+	if err := sv.fd.Drain(); err == nil {
+		t.Fatal("drain reported a clean drain with its data directory gone")
 	}
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -99,10 +90,10 @@ func TestDrainFsyncFailureLatchesStore(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after failed drain: %d, want 503", resp.StatusCode)
 	}
-	// The latched error persists through the safety-net close: the
+	// The latched error persists through the safety-net drain: the
 	// process must exit nonzero.
-	if err := sv.shutdownStore(); err == nil {
-		t.Fatal("shutdownStore forgot the drain failure")
+	if err := sv.fd.Drain(); err == nil {
+		t.Fatal("the second drain forgot the first one's failure")
 	}
 }
 
@@ -111,7 +102,8 @@ func TestDrainFsyncFailureLatchesStore(t *testing.T) {
 // status), even though the HTTP listener shut down cleanly.
 func TestServeDrainFailureForcesNonzeroExit(t *testing.T) {
 	dir := t.TempDir()
-	sv, err := openDurable(dir, 1, 0, durableTestInit(8), false, true)
+	cfg := durableTestConfig(dir)
+	fd, err := openFederation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +113,7 @@ func TestServeDrainFailureForcesNonzeroExit(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, l, sv.handler(), sv.drainStore) }()
+	go func() { done <- serve(ctx, l, newServer(fd, cfg).handler(), fd.Drain) }()
 	url := "http://" + l.Addr().String()
 	var lastErr error
 	for i := 0; i < 50; i++ {
@@ -150,5 +142,4 @@ func TestServeDrainFailureForcesNonzeroExit(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not return within 5s of cancellation")
 	}
-	_ = sv.shutdownStore()
 }

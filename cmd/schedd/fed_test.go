@@ -14,24 +14,15 @@ import (
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/fed"
 	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 	"github.com/hpcsched/gensched/internal/workload"
 )
 
-func newFedTestServer(t *testing.T, shards, shardCores, traceBuf int) (*fedServer, *httptest.Server) {
+func newFedTestServer(t *testing.T, shards, shardCores, traceBuf int) (*server, *httptest.Server) {
 	t.Helper()
-	fd, err := fed.New(fed.Config{
-		Shards: shards, ShardCores: shardCores, Seed: 1, TraceBuf: traceBuf,
-		Opt: online.Options{Policy: sched.FCFS(), Backfill: sim.BackfillEASY, Check: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := newFedServer(fd, false)
-	ts := httptest.NewServer(fs.handler())
-	t.Cleanup(ts.Close)
-	return fs, ts
+	cfg := testConfig(shardCores)
+	cfg.shards = shards
+	cfg.telemetry, cfg.traceBuf = traceBuf > 0, traceBuf
+	return startServer(t, cfg)
 }
 
 func TestFedScheddSubmitStatusMetrics(t *testing.T) {
@@ -86,15 +77,36 @@ func TestFedScheddSubmitStatusMetrics(t *testing.T) {
 	}
 }
 
-func TestFedScheddRefusesAdaptAndOversizedJobs(t *testing.T) {
+// TestFedScheddAdaptPerShardAndOversizedJobs pins what /v1/adapt means
+// on a federation — one loop per shard, started and stopped together —
+// and the capacity contract: one job must fit on one shard.
+func TestFedScheddAdaptPerShardAndOversizedJobs(t *testing.T) {
 	_, ts := newFedTestServer(t, 4, 8, 0)
-	resp, err := ts.Client().Post(ts.URL+"/v1/adapt", "application/json", strings.NewReader(`{"action":"start"}`))
-	if err != nil {
-		t.Fatal(err)
+	if code, r := post(t, ts, "/v1/adapt", `{"action":"start","interval":500,"window":64,"min_window":16,"tuples":1,"trials":16,"topk":1,"seed":7}`); code != 200 {
+		t.Fatalf("start: code=%d reply=%+v", code, r)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/v1/adapt on a federation: %d, want 501", resp.StatusCode)
+	var st struct {
+		adaptStatusReply
+		PerShard []adaptStatusReply `json:"per_shard"`
+	}
+	get(t, ts, "/v1/adapt", &st)
+	if !st.Enabled || st.NextCheck != 500 || len(st.PerShard) != 4 {
+		t.Fatalf("status after start: %+v", st)
+	}
+	for i, s := range st.PerShard {
+		if !s.Enabled || s.NextCheck != 500 {
+			t.Fatalf("shard %d after start: %+v", i, s)
+		}
+	}
+	if code, r := post(t, ts, "/v1/adapt", `{"action":"start","interval":900}`); code != http.StatusConflict || r.Error == "" {
+		t.Fatalf("start while running: code=%d reply=%+v", code, r)
+	}
+	if code, _ := post(t, ts, "/v1/adapt", `{"action":"stop"}`); code != 200 {
+		t.Fatalf("stop: code=%d", code)
+	}
+	get(t, ts, "/v1/adapt", &st)
+	if st.Enabled {
+		t.Fatalf("status after stop: %+v", st)
 	}
 	// Wider than one shard, even though 4×8 = 32 total cores exist.
 	code, r := post(t, ts, "/v1/submit", `{"id":1,"cores":9,"runtime":10,"estimate":10}`)
@@ -120,8 +132,7 @@ func TestFedScheddPolicySwap(t *testing.T) {
 
 // TestFedScheddTraceShardTagged drives traffic through a federation and
 // checks the merged /v1/trace: every JSONL line carries a shard tag, the
-// stream is time-ordered, and the sample/limit/format validation matches
-// the single-engine endpoint exactly.
+// stream is time-ordered, and the sample/limit/format query is validated.
 func TestFedScheddTraceShardTagged(t *testing.T) {
 	_, ts := newFedTestServer(t, 4, 8, 1024)
 	for i := 1; i <= 16; i++ {
@@ -165,7 +176,6 @@ func TestFedScheddTraceShardTagged(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("merged trace is empty after 16 submits")
 	}
-	// Validation parity with the single-engine endpoint.
 	for _, q := range []string{"?sample=0", "?sample=-3", "?sample=x", "?limit=-1", "?format=yaml"} {
 		resp, err := ts.Client().Get(ts.URL + "/v1/trace" + q)
 		if err != nil {
@@ -205,7 +215,7 @@ func TestFedScheddPromMetrics(t *testing.T) {
 	}
 }
 
-// TestTraceSampleThenLimit pins the single-engine /v1/trace contract
+// TestTraceSampleThenLimit pins the one-shard /v1/trace contract
 // parseTraceQuery documents: ?limit caps the most recent events AFTER
 // ?sample thins the stream — so sample=K&limit=N returns the last N of
 // the 1-in-K stream, and sample=0 is always a 400.
@@ -313,31 +323,25 @@ func (bc *binConn) record(rec *durable.Record) (float64, []online.Start, error) 
 	return bc.roundTrip(payload)
 }
 
-func startBinServer(t *testing.T, h binaryHandler) string {
+func startBinServer(t *testing.T, sv *server) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := newBinServer(l, h)
+	bs := newBinServer(l, sv)
 	bs.start()
 	t.Cleanup(bs.stop)
 	return l.Addr().String()
 }
 
-// TestBinaryProtocolSingleEngine drives the binary listener against the
-// single-engine server and checks the scheduling outcomes match what the
+// TestBinaryProtocolSingleEngine drives the binary listener against a
+// one-shard daemon and checks the scheduling outcomes match what the
 // HTTP path would produce: starts arrive with the submit response, a
-// duplicate ID errors with the HTTP status code, and the journal path is
+// duplicate ID errors with the HTTP status code, and the mutation path is
 // shared (the mutation lands in /v1/status).
 func TestBinaryProtocolSingleEngine(t *testing.T) {
-	s, err := online.New(8, online.Options{Policy: sched.FCFS(), Backfill: sim.BackfillEASY, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := newServer(s, 8, false)
-	ts := httptest.NewServer(sv.handler())
-	t.Cleanup(ts.Close)
+	sv, ts := startServer(t, testConfig(8))
 	bc := dialBin(t, startBinServer(t, sv))
 
 	now, starts, err := bc.record(&durable.Record{
@@ -387,11 +391,7 @@ func TestBinaryProtocolSingleEngine(t *testing.T) {
 // sent individually: batches are pure syscall amortization.
 func TestBinaryProtocolBatch(t *testing.T) {
 	run := func(batch bool) (float64, int) {
-		s, err := online.New(4, online.Options{Policy: sched.FCFS(), Backfill: sim.BackfillEASY, Check: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv := newServer(s, 4, false)
+		sv, _ := startServer(t, testConfig(4))
 		bc := dialBin(t, startBinServer(t, sv))
 		recs := []durable.Record{
 			{Op: durable.OpSubmit, Now: 0, Job: workload.Job{ID: 1, Runtime: 50, Estimate: 50, Cores: 4}},
@@ -438,8 +438,8 @@ func TestBinaryProtocolBatch(t *testing.T) {
 // federation and checks jobs spread across shards with the same router
 // the HTTP path uses.
 func TestBinaryProtocolFederation(t *testing.T) {
-	fs, _ := newFedTestServer(t, 4, 8, 0)
-	bc := dialBin(t, startBinServer(t, fs))
+	sv, _ := newFedTestServer(t, 4, 8, 0)
+	bc := dialBin(t, startBinServer(t, sv))
 	for i := 1; i <= 12; i++ {
 		_, _, err := bc.record(&durable.Record{
 			Op: durable.OpSubmit, Now: float64(i),
@@ -449,7 +449,7 @@ func TestBinaryProtocolFederation(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	st := fs.fd.Status()
+	st := sv.fd.Status()
 	if st.Submitted != 12 {
 		t.Fatalf("submitted %d, want 12", st.Submitted)
 	}

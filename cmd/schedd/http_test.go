@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -99,5 +101,48 @@ func TestScheddHealthzMethods(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s /healthz: code=%d, want %d", tc.method, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestReadRenderingIsJSON pins the hand-rendered read endpoints to
+// encoding/json: floats render byte-for-byte as encoding/json renders
+// them (clients and the benchmark compare them bit-equal after a round
+// trip), and strings escape into valid JSON.
+func TestReadRenderingIsJSON(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -2.5, 1e-6, 9.99e-7, 1e-7, 123.456, 1e20, 1e21, -1e21, 3.475, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendJSONFloat(%v) = %s, encoding/json says %s", f, got, want)
+		}
+	}
+	for _, s := range []string{"", "F1", `q"uote`, `back\slash`, "tab\there", "nul\x00", "A291.2 ünï"} {
+		var back string
+		if err := json.Unmarshal(appendJSONString(nil, s), &back); err != nil || back != s {
+			t.Errorf("appendJSONString(%q) does not round-trip: %q, %v", s, back, err)
+		}
+	}
+	// A quarantine message, a policy named by a client: whole responses
+	// stay parseable.
+	ts := newTestServer(t, 4)
+	if code, r := post(t, ts, "/v1/policy", `{"name":"we\"ird\u0001","expr":"r*n + 0*log10(s)"}`); code != 200 || r.Policy != "we\"ird\u0001" {
+		t.Fatalf("policy swap: code=%d reply=%+v", code, r)
+	}
+	var st struct {
+		Policy   string `json:"policy"`
+		PerShard []struct {
+			Policy string `json:"policy"`
+		} `json:"per_shard"`
+	}
+	get(t, ts, "/v1/status", &st)
+	if st.Policy != "we\"ird\u0001" || len(st.PerShard) != 1 || st.PerShard[0].Policy != st.Policy {
+		t.Fatalf("status: %+v", st)
+	}
+	var m map[string]any
+	get(t, ts, "/v1/metrics", &m)
+	if _, ok := m["per_shard"]; !ok {
+		t.Fatalf("metrics: %v", m)
 	}
 }

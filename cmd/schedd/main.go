@@ -16,7 +16,7 @@
 //	GET  /v1/metrics
 //	GET  /v1/trace     decision trace (?format=jsonl|chrome&sample=K&limit=N)
 //	GET  /metrics      Prometheus text exposition
-//	GET  /healthz      503 once the journal has latched a failure
+//	GET  /healthz      503 once every shard's journal has latched a failure
 //	GET  /debug/pprof/ (with -pprof)
 //
 // Mutating endpoints reply {"now":..,"started":[{"id":..,"time":..,"wait":..,
@@ -26,22 +26,23 @@
 // time never goes backward. With -clock real the daemon stamps requests
 // with wall time since boot instead and "now" is ignored.
 //
-// schedd shuts down gracefully on SIGINT/SIGTERM: the durable journal is
-// flushed and closed after the final in-flight mutation (later mutations
-// get 503), then in-flight requests drain before the process exits. A
-// drain-time fsync failure latches the store — /healthz reports 503 for
-// the rest of the grace period and the exit status is nonzero.
+// schedd shuts down gracefully on SIGINT/SIGTERM: the durable journals
+// are checkpointed and closed after the final in-flight mutation (later
+// mutations get 503), then in-flight requests drain before the process
+// exits. A drain-time fsync failure latches the store — /healthz reports
+// 503 for the rest of the grace period and the exit status is nonzero.
 //
-// With -shards N (N > 1) the daemon becomes a federation: N independent
-// shard schedulers, each its own -cores machine with its own logical
-// clock, behind a deterministic consistent-hash router with a
-// least-loaded fallback. /v1/status, /v1/metrics, /metrics and /v1/trace
-// merge the shards deterministically ((clock, shard, seq) order). With
-// -data-dir each shard journals to <data-dir>/shard-NNNN/ and recovers
+// The daemon is a federation of -shards shard schedulers (default 1 —
+// which IS the single engine: the repo's differential tests pin a
+// one-shard federation to it bit for bit), each its own -cores machine
+// with its own logical clock, behind a deterministic consistent-hash
+// router with a least-loaded fallback. /v1/status, /v1/metrics, /metrics
+// and /v1/trace merge the shards deterministically ((clock, shard, seq)
+// order); /v1/adapt runs one retraining loop per shard. With -data-dir
+// each shard journals to <data-dir>/shard-NNNN/ and recovers
 // independently on boot (a pre-federation flat layout is adopted as
 // shard 0); a shard whose store fails is quarantined — its mutations
-// return 503 + Retry-After while healthy shards keep serving. /v1/adapt
-// remains a single-engine feature.
+// return 503 + Retry-After while healthy shards keep serving.
 //
 // With -binary-addr the same mutations are additionally served over a
 // compact length-prefixed binary protocol (see internal/fed: wire.go)
@@ -67,8 +68,8 @@ import (
 	"syscall"
 	"time"
 
-	gensched "github.com/hpcsched/gensched"
-	"github.com/hpcsched/gensched/internal/durable"
+	"github.com/hpcsched/gensched/internal/fed"
+	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/sim"
 )
@@ -91,7 +92,7 @@ type daemonConfig struct {
 	traceBuf  int     // decision-trace ring capacity in events
 	pprofFlag bool    // expose net/http/pprof under /debug/pprof/
 
-	shards     int    // federated shard count; 1 = the classic single engine
+	shards     int    // shard count; 1 = the single engine
 	binaryAddr string // compact binary protocol listener ("" = disabled)
 	fedSeed    uint64 // router ring seed (placements are a pure function of it)
 }
@@ -112,7 +113,7 @@ func main() {
 	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable counters, histograms, the decision trace, /metrics and /v1/trace")
 	flag.IntVar(&cfg.traceBuf, "trace-buf", 4096, "decision-trace ring capacity in events")
 	flag.BoolVar(&cfg.pprofFlag, "pprof", false, "expose net/http/pprof under /debug/pprof/")
-	flag.IntVar(&cfg.shards, "shards", 1, "shard count: N > 1 federates N independent -cores machines behind a deterministic router (-data-dir journals per shard)")
+	flag.IntVar(&cfg.shards, "shards", 1, "shard count: N independent -cores machines behind a deterministic router (-data-dir journals per shard)")
 	flag.StringVar(&cfg.binaryAddr, "binary-addr", "", "listen address for the compact binary protocol (empty = disabled)")
 	flag.Uint64Var(&cfg.fedSeed, "fed-seed", 1, "seed for the federation router's hash ring")
 	flag.Parse()
@@ -123,54 +124,15 @@ func main() {
 }
 
 func run(cfg daemonConfig) error {
-	p, err := resolvePolicy(cfg.policy, "")
+	fd, err := openFederation(cfg)
 	if err != nil {
 		return err
 	}
-	bf, err := parseBackfill(cfg.backfill)
-	if err != nil {
-		return err
-	}
-	var realClock bool
-	switch cfg.clock {
-	case "logical":
-	case "real":
-		realClock = true
-	default:
-		return fmt.Errorf("unknown clock source %q", cfg.clock)
-	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
-	}
-	if cfg.shards > 1 {
-		return runFederated(cfg, p, bf, realClock)
-	}
-	init := durable.InitState{
-		Cores:        cfg.cores,
-		Backfill:     int(bf),
-		UseEstimates: cfg.estimates,
-		Tau:          cfg.tau,
-		PolicyName:   cfg.policy,
-	}
-	var srv *server
-	if cfg.dataDir == "" {
-		srv, err = buildServer(init, realClock, cfg.check)
-	} else {
-		srv, err = openDurable(cfg.dataDir, cfg.fsync, cfg.ckptEvery, init, realClock, cfg.check)
-	}
-	if err != nil {
-		return err
-	}
-	if cfg.telemetry {
-		// After recovery replay: the counters describe this process's
-		// live traffic, while /v1/status carries the recovery provenance.
-		srv.enableTelemetry(cfg.traceBuf)
-	}
-	srv.pprofOn = cfg.pprofFlag
+	sv := newServer(fd, cfg)
 
 	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		_ = srv.shutdownStore() // cleanup; the listen error is already being reported
+		_ = fd.Drain() // cleanup; the listen error is already being reported
 		return err
 	}
 	var bin *binServer
@@ -178,39 +140,85 @@ func run(cfg daemonConfig) error {
 		bl, berr := net.Listen("tcp", cfg.binaryAddr)
 		if berr != nil {
 			_ = l.Close()
-			_ = srv.shutdownStore()
+			_ = fd.Drain()
 			return berr
 		}
-		bin = newBinServer(bl, srv)
+		bin = newBinServer(bl, sv)
 		bin.start()
 		fmt.Fprintf(os.Stderr, "schedd: binary protocol on %s\n", bl.Addr())
 	}
-	fmt.Fprintf(os.Stderr, "schedd: serving %d cores under %s+%s on %s (clock: %s)\n",
-		cfg.cores, p.Name(), bf, l.Addr(), cfg.clock)
+	st := fd.Status()
+	fmt.Fprintf(os.Stderr, "schedd: serving %d shard(s) × %d cores under %s+%s on %s (clock: %s, fed seed %d)\n",
+		cfg.shards, cfg.cores, st.Policy, cfg.backfill, l.Addr(), cfg.clock, cfg.fedSeed)
 	if cfg.dataDir != "" {
-		fmt.Fprintf(os.Stderr, "schedd: journaling to %s (fsync every %d, checkpoint every %gs, recovered to t=%g seq=%d)\n",
-			cfg.dataDir, cfg.fsync, cfg.ckptEvery, srv.s.Clock(), srv.store.Seq())
+		fmt.Fprintf(os.Stderr, "schedd: journaling per shard under %s (fsync every %d, checkpoint every %gs, recovered to t=%g)\n",
+			cfg.dataDir, cfg.fsync, cfg.ckptEvery, st.Now)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = serve(ctx, l, srv.handler(), func() error {
-		// Binary connections first — their mutations share sv.mu, so once
-		// the listener and conns are gone, drainStore's mutex acquisition
-		// is the last word on in-flight mutations.
+	err = serve(ctx, l, sv.handler(), func() error {
+		// Binary connections stop first so the federation's drain — which
+		// waits out in-flight mutations shard by shard and then checkpoints
+		// and closes every shard store — is the last word.
 		if bin != nil {
 			bin.stop()
 		}
-		return srv.drainStore()
+		return fd.Drain()
 	})
-	// Safety net for the non-drain exit paths (listener error): idempotent
-	// after a graceful drain.
-	if serr := srv.shutdownStore(); err == nil {
-		err = serr
+	// Safety net for the non-drain exit paths (listener error); Drain is
+	// idempotent.
+	if derr := fd.Drain(); err == nil {
+		err = derr
 	}
 	if bin != nil {
 		bin.stop()
 	}
 	return err
+}
+
+// openFederation builds the scheduler state the flags describe: -shards
+// shard engines, recovered from -data-dir when one is given (a fresh
+// directory is initialized; an existing one must have been recorded
+// under the same machine shape).
+func openFederation(cfg daemonConfig) (*fed.Federation, error) {
+	p, err := resolvePolicy(cfg.policy, "")
+	if err != nil {
+		return nil, err
+	}
+	bf, err := parseBackfill(cfg.backfill)
+	if err != nil {
+		return nil, err
+	}
+	switch cfg.clock {
+	case "logical", "real":
+	default:
+		return nil, fmt.Errorf("unknown clock source %q", cfg.clock)
+	}
+	if cfg.shards < 1 {
+		return nil, fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
+	}
+	fcfg := fed.Config{
+		Shards:     cfg.shards,
+		ShardCores: cfg.cores,
+		Opt: online.Options{
+			Policy:       p,
+			UseEstimates: cfg.estimates,
+			Backfill:     bf,
+			Tau:          cfg.tau,
+			Check:        cfg.check,
+		},
+		Seed: cfg.fedSeed,
+	}
+	if cfg.telemetry {
+		fcfg.TraceBuf = cfg.traceBuf
+	}
+	return fed.Open(fcfg, fed.DurableConfig{
+		Dir:           cfg.dataDir,
+		SyncEvery:     cfg.fsync,
+		CkptEvery:     cfg.ckptEvery,
+		PolicyName:    cfg.policy,
+		ResolvePolicy: resolvePolicy,
+	})
 }
 
 // serve runs the HTTP server until ctx is cancelled, then shuts down
@@ -274,11 +282,11 @@ func resolvePolicy(name, expr string) (sched.Policy, error) {
 func parseBackfill(s string) (sim.BackfillMode, error) {
 	switch strings.ToLower(s) {
 	case "none", "":
-		return gensched.BackfillNone, nil
+		return sim.BackfillNone, nil
 	case "easy", "aggressive":
-		return gensched.BackfillEASY, nil
+		return sim.BackfillEASY, nil
 	case "conservative":
-		return gensched.BackfillConservative, nil
+		return sim.BackfillConservative, nil
 	}
 	return 0, fmt.Errorf("unknown backfill mode %q", s)
 }

@@ -10,24 +10,36 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
-func newTestServer(t *testing.T, cores int) *httptest.Server {
+// testConfig is the daemon the handler tests run: one invariant-checked
+// FCFS+EASY shard of the given size, in memory, telemetry off.
+func testConfig(cores int) daemonConfig {
+	return daemonConfig{
+		cores: cores, policy: "FCFS", backfill: "easy", clock: "logical", check: true,
+		fsync: 1, traceBuf: 4096, shards: 1, fedSeed: 1,
+	}
+}
+
+// startServer boots a daemon from cfg exactly as run() does and serves
+// its handler; both the listener and the federation go away with the
+// test.
+func startServer(t *testing.T, cfg daemonConfig) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
+	fd, err := openFederation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(s, cores, false).handler())
+	t.Cleanup(func() { _ = fd.Drain() }) // idempotent after a test's own drain
+	sv := newServer(fd, cfg)
+	ts := httptest.NewServer(sv.handler())
 	t.Cleanup(ts.Close)
+	return sv, ts
+}
+
+func newTestServer(t *testing.T, cores int) *httptest.Server {
+	t.Helper()
+	_, ts := startServer(t, testConfig(cores))
 	return ts
 }
 
@@ -207,7 +219,8 @@ func TestScheddAdvanceEndpointFlushesPendingPass(t *testing.T) {
 // port, verifies it answers, cancels the context (the SIGTERM path) and
 // requires a clean drain.
 func TestScheddGracefulShutdown(t *testing.T) {
-	s, err := online.New(8, online.Options{Policy: sched.FCFS()})
+	cfg := testConfig(8)
+	fd, err := openFederation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +230,8 @@ func TestScheddGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	srv := newServer(s, 64, false)
-	go func() { done <- serve(ctx, l, srv.handler(), srv.drainStore) }()
+	srv := newServer(fd, cfg)
+	go func() { done <- serve(ctx, l, srv.handler(), fd.Drain) }()
 
 	url := fmt.Sprintf("http://%s", l.Addr())
 	var lastErr error

@@ -1,108 +1,95 @@
+// The daemon's one server: a fed.Federation of -shards shard schedulers
+// (one shard is the single engine, bit for bit) behind the HTTP/JSON
+// API and the binary wire. The federation does its own locking — the
+// router under one mutex, each shard under its own — so there is no
+// handler-wide lock and requests for different shards run concurrently.
+// /v1/status and /v1/metrics carry the aggregate AND the per-shard
+// breakdown.
+//
+// With -data-dir each shard journals to its own WAL+snapshot store under
+// <data-dir>/shard-NNNN/ and recovers independently on boot (a flat
+// pre-federation layout is adopted as shard 0). A shard whose store
+// fails is quarantined — mutations targeting it return 503 with
+// Retry-After while healthy shards keep serving — and /healthz +
+// /v1/status report per-shard health.
+
 package main
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/hpcsched/gensched/internal/adaptive"
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/fed"
 	"github.com/hpcsched/gensched/internal/online"
+	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/telemetry"
 	"github.com/hpcsched/gensched/internal/workload"
 )
 
-// server wraps one online.Scheduler behind HTTP handlers. One mutex
-// serializes every scheduler interaction; responses are rendered into
-// pooled buffers while the lock is held (the scheduler's start slices are
-// scratch) and written after it is released, so a slow client never
-// stalls the scheduling core.
-//
-// The steady-state hot path allocates only what request decoding needs:
-// scheduler operations are allocation-free and the response bytes come
-// from the pool.
+// server serves a federation. Responses are rendered into pooled
+// buffers; the federation copies start notifications out of the shard
+// schedulers' scratch into pooled slices, so the steady-state mutation
+// path allocates only what request decoding needs.
 type server struct {
-	mu        sync.Mutex
-	s         *online.Scheduler
-	cores     int
+	fd        *fed.Federation
 	realClock bool
 	epoch     time.Time
 
-	// ad is the attached adaptive retraining loop, if /v1/adapt started
-	// one (see adapt.go); adErr records its last failure; adCfg is the
-	// journaled sizing that started the loop (carried into snapshots).
-	// All guarded by mu like every other scheduler interaction.
-	ad    *adaptive.Controller
-	adErr error
-	adCfg *durable.AdaptConfig
-
-	// Durability (see durable.go). store is nil without -data-dir.
-	// policyName/policyExpr track the descriptor of the active policy so
-	// a snapshot can rebuild it through resolvePolicy. storeErr latches
-	// the first journal failure: the in-memory state is then ahead of the
-	// durable state, so further mutations are refused rather than
-	// widening the gap.
-	store       *durable.Store
-	storeErr    error
-	storeClosed bool // the journal was checkpointed and closed (shutdown ran)
-	draining    bool // SIGTERM drain began: refuse new mutations with 503
-	init        durable.InitState
-	policyName  string
-	policyExpr  string
-	ckptEvery   float64 // logical seconds between checkpoints (0 = off)
-	lastCkpt    float64
-
-	// Telemetry (see telemetry.go). tel instruments the scheduler stack
-	// on the logical clock; edge holds the wall-clock per-endpoint
-	// latency histograms fed only at the HTTP boundary; recov is the
-	// recovery provenance /v1/status reports. tel and edge are set once
-	// by enableTelemetry before the daemon serves, never swapped after.
-	tel     *telemetry.Sink
+	// edge holds the wall-clock per-endpoint latency histograms, fed only
+	// at the HTTP boundary (see telemetry.go); nil with -telemetry=false.
 	edge    *telemetry.Edge
-	recov   recoveryInfo
 	pprofOn bool
 
-	bufs sync.Pool // *[]byte response buffers
+	bufs   sync.Pool // *[]byte response buffers
+	starts sync.Pool // *[]online.Start scratch
 }
 
-func newServer(s *online.Scheduler, cores int, realClock bool) *server {
-	return &server{
-		s:         s,
-		cores:     cores,
-		realClock: realClock,
-		epoch:     time.Now(),
-		bufs:      sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
+// newServer serves fd with the daemon-edge options of cfg: the clock
+// source, edge latency histograms (with -telemetry) and pprof.
+func newServer(fd *fed.Federation, cfg daemonConfig) *server {
+	sv := &server{
+		fd:        fd,
+		realClock: cfg.clock == "real",
+		// Under -clock real, wall time continues from a recovered clock
+		// instead of restarting at zero, which would stall every stamp
+		// until wall time caught up with the recovered state.
+		epoch:   time.Now().Add(-time.Duration(fd.Clock() * float64(time.Second))),
+		pprofOn: cfg.pprofFlag,
+		bufs:    sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
+		starts:  sync.Pool{New: func() any { s := make([]online.Start, 0, 64); return &s }},
 	}
+	if cfg.telemetry {
+		sv.edge = telemetry.NewEdge(edgeEndpoints...)
+	}
+	return sv
 }
 
-// statusError pins an HTTP status to an error. Handler errors default to
-// 409 Conflict (the request was well-formed but the scheduler state
-// refuses it: duplicate ID, backward clock, loop already running);
-// validation failures wrap in 400 via badRequest.
-type statusError struct {
-	code int
-	err  error
-}
+// badRequestError marks a request the client got wrong — shape, syntax,
+// unknown names: 400. Other handler errors default to 409 Conflict (the
+// request was well-formed but the scheduler state refuses it: duplicate
+// ID, backward clock, loop already running).
+type badRequestError struct{ err error }
 
-func (e *statusError) Error() string { return e.err.Error() }
-func (e *statusError) Unwrap() error { return e.err }
+func (e *badRequestError) Error() string { return e.err.Error() }
+func (e *badRequestError) Unwrap() error { return e.err }
 
-func httpError(code int, err error) error { return &statusError{code: code, err: err} }
-func badRequest(err error) error          { return httpError(http.StatusBadRequest, err) }
+func badRequest(err error) error { return &badRequestError{err: err} }
 
-// errStatus maps a handler error to its HTTP status. Federation
-// degradation errors carry their own mapping: a quarantined shard or a
-// drain in progress refuses before applying (503, retryable), while a
-// journal failure after the mutation applied is a 500, exactly like the
-// single engine's latched-store refusal.
+// errStatus maps a handler error to its HTTP status. Degradation errors
+// carry their own mapping: a quarantined shard or a drain in progress
+// refuses before applying (503, retryable), while a journal failure
+// after the mutation applied is a 500.
 func errStatus(err error) int {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.code
+	var bad *badRequestError
+	if errors.As(err, &bad) {
+		return http.StatusBadRequest
 	}
 	var down *fed.ShardDownError
 	if errors.As(err, &down) || errors.Is(err, fed.ErrDraining) {
@@ -120,22 +107,11 @@ func errStatus(err error) int {
 // drain-then-restart rolls through quickly.
 const retryAfterSecs = "1"
 
-// errRetryable reports whether a handler error is a refused-before-apply
-// condition the client may simply resend: the fed package's retryable
-// set, plus any 503-classed statusError (drain in progress, shutdown).
-func errRetryable(err error) bool {
-	if fed.Retryable(err) {
-		return true
-	}
-	var se *statusError
-	return errors.As(err, &se) && se.code == http.StatusServiceUnavailable
-}
-
 // writeHandlerErr renders a handler error, attaching Retry-After to
 // retryable refusals so polite clients back off instead of hammering a
 // draining or degraded daemon.
 func writeHandlerErr(w http.ResponseWriter, err error) {
-	if errRetryable(err) {
+	if fed.Retryable(err) {
 		w.Header().Set("Retry-After", retryAfterSecs)
 	}
 	writeErr(w, errStatus(err), err.Error())
@@ -152,27 +128,39 @@ func (sv *server) handler() http.Handler {
 	mux.HandleFunc("/v1/metrics", sv.timed("metrics", sv.get(sv.metrics)))
 	mux.HandleFunc("/v1/trace", sv.trace)
 	mux.HandleFunc("/metrics", sv.promMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			writeErr(w, http.StatusMethodNotAllowed, "GET or HEAD only")
-			return
-		}
-		// A daemon whose journal has failed is alive but must not take
-		// traffic: its memory is ahead of disk and every further mutation
-		// is refused with a 500. Report non-200 so a load balancer drains
-		// it instead of routing submits into guaranteed failures.
-		sv.mu.Lock()
-		err := sv.storeErr
-		sv.mu.Unlock()
-		if err != nil {
-			w.Header().Set("Retry-After", retryAfterSecs)
-			writeErr(w, http.StatusServiceUnavailable, "durable store failed: "+err.Error())
-			return
-		}
-		_, _ = w.Write([]byte("ok\n")) // a probe that hung up is its own problem
-	})
+	mux.HandleFunc("/healthz", sv.healthz)
 	registerPprof(mux, sv.pprofOn)
 	return mux
+}
+
+// healthz reports whether the daemon should take traffic. A shard whose
+// journal failed is quarantined: its memory may be ahead of its disk, so
+// it refuses every further mutation. While some shards are healthy the
+// daemon stays in the load balancer rotation (per-request 503s steer
+// clients off the dead shard); once none is, it reports 503. A clean
+// drain is not a failure and keeps reporting 200.
+func (sv *server) healthz(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		writeErr(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		return
+	}
+	health := sv.fd.Health()
+	down := 0
+	for _, h := range health {
+		if h.Quarantined {
+			down++
+		}
+	}
+	switch {
+	case down == 0:
+		_, _ = w.Write([]byte("ok\n")) // a probe that hung up is its own problem
+	case down < len(health):
+		fmt.Fprintf(w, "degraded (%d/%d shards quarantined)\n", down, len(health))
+	default:
+		w.Header().Set("Retry-After", retryAfterSecs)
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("durable store failed: all %d shard(s) quarantined", len(health)))
+	}
 }
 
 // request is the body every mutating endpoint accepts; endpoints read the
@@ -225,9 +213,10 @@ func (sv *server) get(h func(http.ResponseWriter)) http.HandlerFunc {
 }
 
 // now resolves the effective clock for a request: wall time since boot
-// under -clock real, the request's "now" (never backward; omitted means
-// "at the current clock", and an explicit 0 IS instant zero) under the
-// logical clock. Called with sv.mu held — it reads the clock.
+// under -clock real; otherwise the request's "now" (an explicit 0 IS
+// instant zero), then "submit" when positive, then the federation clock
+// (the maximum shard clock — each shard clamps to its own, so no shard
+// clock ever moves backward).
 func (sv *server) now(req *request) float64 {
 	if sv.realClock {
 		return time.Since(sv.epoch).Seconds()
@@ -238,169 +227,317 @@ func (sv *server) now(req *request) float64 {
 	if req.Submit > 0 {
 		return req.Submit
 	}
-	return sv.s.Clock()
+	return sv.fd.Clock()
 }
 
-// mutate runs one mutating operation through the full path — build its
-// journal record under the lock (the resolved clock lives in the
-// record), apply, journal, checkpoint if due — and renders the start
-// notifications. The op must leave the clock untouched when it fails
-// (the online composite operations guarantee this), so a rejected
-// request can never wedge the stream by stranding the clock in the
-// future.
-func (sv *server) mutate(w http.ResponseWriter, build func() durable.Record) error {
-	bp := sv.bufs.Get().(*[]byte)
-	buf := append((*bp)[:0], `{"started":[`...)
-	sv.mu.Lock()
-	rec := build()
-	starts, err := sv.applyJournal(&rec)
+// apply runs one client record through the federation: the one mutation
+// path behind the HTTP endpoints and the binary wire. Starts are
+// appended to buf; shard is where a submit landed (-1 for other ops) and
+// clock that shard's clock — the maximum shard clock for the ops that
+// touch every shard.
+func (sv *server) apply(rec *durable.Record, buf []online.Start) (shard int, starts []online.Start, clock float64, err error) {
+	shard, starts = -1, buf
+	switch rec.Op {
+	case durable.OpSubmit:
+		// Shape problems — nonpositive cores or runtime, wider than one
+		// shard — are the client's fault: 400, before anything mutates.
+		// What remains for the scheduler are state conflicts (duplicate
+		// ID, future submit), which stay 409.
+		if err := rec.Job.Validate(sv.fd.ShardCores()); err != nil {
+			return -1, buf, 0, badRequest(err)
+		}
+		return sv.fd.Submit(rec.Now, rec.Job, buf)
+	case durable.OpComplete:
+		starts, clock, err = sv.fd.Complete(rec.Now, rec.ID, buf)
+	case durable.OpAdvance:
+		starts, clock, err = sv.fd.AdvanceTo(rec.Now, buf)
+	case durable.OpPolicy:
+		_, err = sv.setPolicy(rec.Name, rec.Expr)
+		clock = sv.fd.Clock()
+	case durable.OpAdaptStart:
+		err = sv.fd.StartAdapt(*rec.Adapt)
+		clock = sv.fd.Clock()
+	case durable.OpAdaptStop:
+		err = sv.fd.StopAdapt()
+		clock = sv.fd.Clock()
+	default:
+		return -1, buf, 0, badRequest(fmt.Errorf("op %v is not a client request", rec.Op))
+	}
+	return shard, starts, clock, err
+}
+
+// setPolicy resolves a policy descriptor and swaps it in on every shard;
+// the journal records the descriptor, not the value.
+func (sv *server) setPolicy(name, expr string) (sched.Policy, error) {
+	p, err := resolvePolicy(name, expr)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	return p, sv.fd.SetPolicy(p, name, expr)
+}
+
+// mutate applies one scheduling record and renders the
+// {"started":[...],"now":..} response from pooled buffers, with the
+// landing shard for a submit.
+func (sv *server) mutate(w http.ResponseWriter, rec *durable.Record) error {
+	sp := sv.starts.Get().(*[]online.Start)
+	shard, starts, clock, err := sv.apply(rec, (*sp)[:0])
+	*sp = starts
 	if err == nil {
-		n := 0
-		buf = appendStarts(buf, &n, starts)
+		bp := sv.bufs.Get().(*[]byte)
+		buf := append((*bp)[:0], `{"started":[`...)
+		buf = appendStarts(buf, starts)
 		buf = append(buf, `],"now":`...)
-		buf = strconv.AppendFloat(buf, sv.s.Clock(), 'g', -1, 64)
+		buf = strconv.AppendFloat(buf, clock, 'g', -1, 64)
+		if shard >= 0 {
+			buf = append(buf, `,"shard":`...)
+			buf = strconv.AppendInt(buf, int64(shard), 10)
+		}
 		buf = append(buf, '}', '\n')
-	}
-	sv.mu.Unlock()
-	if err == nil {
 		writeJSON(w, buf)
+		*bp = buf
+		sv.bufs.Put(bp)
 	}
-	*bp = buf
-	sv.bufs.Put(bp)
+	sv.starts.Put(sp)
 	return err
 }
 
 func (sv *server) submit(w http.ResponseWriter, req *request) error {
-	job := workload.Job{
+	return sv.mutate(w, &durable.Record{Op: durable.OpSubmit, Now: sv.now(req), Job: workload.Job{
 		ID:       req.ID,
 		Submit:   req.Submit,
 		Runtime:  req.Runtime,
 		Estimate: req.Estimate,
 		Cores:    req.Cores,
-	}
-	// Shape problems — nonpositive cores or runtime, oversized for the
-	// platform — are the client's fault: 400, before anything mutates.
-	// What remains for SubmitAt are state conflicts (duplicate ID, future
-	// submit), which stay 409.
-	if err := job.Validate(sv.cores); err != nil {
-		return badRequest(err)
-	}
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpSubmit, Now: sv.now(req), Job: job}
-	})
+	}})
 }
 
 func (sv *server) complete(w http.ResponseWriter, req *request) error {
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpComplete, Now: sv.now(req), ID: req.ID}
-	})
+	return sv.mutate(w, &durable.Record{Op: durable.OpComplete, Now: sv.now(req), ID: req.ID})
 }
 
 func (sv *server) advance(w http.ResponseWriter, req *request) error {
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpAdvance, Now: sv.now(req)}
-	})
+	return sv.mutate(w, &durable.Record{Op: durable.OpAdvance, Now: sv.now(req)})
 }
 
 func (sv *server) policy(w http.ResponseWriter, req *request) error {
-	p, err := resolvePolicy(req.Name, req.Expr)
-	if err != nil {
-		return badRequest(err)
-	}
-	rec := durable.Record{Op: durable.OpPolicy, Name: req.Name, Expr: req.Expr}
-	sv.mu.Lock()
-	_, err = sv.applyJournal(&rec)
-	sv.mu.Unlock()
+	p, err := sv.setPolicy(req.Name, req.Expr)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, []byte(`{"policy":`+strconv.Quote(p.Name())+"}\n"))
+	writeJSON(w, append(appendJSONString([]byte(`{"policy":`), p.Name()), '}', '\n'))
 	return nil
 }
 
-// status and metrics are occasional diagnostics, not the hot path, so
-// they go through encoding/json on tagged structs — no hand-maintained
-// field lists to drift from online.Status/Metrics.
+// The read endpoints on the benchmark's reader rotation — /v1/status and
+// /v1/metrics — render straight into pooled buffers like the mutation
+// responses do: a read queues behind the mutations it interleaves with,
+// so its cost shows in read_p50_us, and encoding/json's reflection was a
+// third of it. /v1/adapt, a control endpoint, stays on encoding/json.
 
-// durableStatus is the recovery-provenance block /v1/status reports for
-// a journaled daemon: where the journal stands now, and how the current
-// process came back (snapshot vs replay) — previously invisible after a
-// crash-restart.
-type durableStatus struct {
-	JournalSeq          uint64  `json:"journal_seq"`
-	LastCheckpointClock float64 `json:"last_checkpoint_clock"`
-	Recovered           bool    `json:"recovered"`
-	FromSnapshot        bool    `json:"from_snapshot,omitempty"`
-	SnapshotSeq         uint64  `json:"snapshot_seq,omitempty"`
-	SnapshotClock       float64 `json:"snapshot_clock,omitempty"`
-	ReplayedRecords     int     `json:"replayed_records,omitempty"`
-	SegmentsScanned     int     `json:"segments_scanned,omitempty"`
-	StoreError          string  `json:"store_error,omitempty"`
-}
-
+// status renders the aggregate view and, per shard, its counts, policy
+// and — on a journaled daemon — its health and recovery provenance:
+// quarantined + store_error report degradation, the rest is where the
+// journal stands and how this process came back from it.
 func (sv *server) status(w http.ResponseWriter) {
-	sv.mu.Lock()
-	st := sv.s.Status()
-	err := sv.s.Err()
-	var dur *durableStatus
-	if sv.store != nil {
-		dur = &durableStatus{
-			JournalSeq:          sv.store.Seq(),
-			LastCheckpointClock: sv.lastCkpt,
-			Recovered:           sv.recov.Recovered,
-			FromSnapshot:        sv.recov.FromSnapshot,
-			SnapshotSeq:         sv.recov.SnapshotSeq,
-			SnapshotClock:       sv.recov.SnapshotClock,
-			ReplayedRecords:     sv.recov.Replayed,
-			SegmentsScanned:     sv.recov.Segments,
-		}
-		if sv.storeErr != nil {
-			dur.StoreError = sv.storeErr.Error()
+	st := sv.fd.Status()
+	var health []fed.ShardHealth
+	healthy := st.Shards
+	if sv.fd.Durable() {
+		health = sv.fd.Health()
+		for _, h := range health {
+			if h.Quarantined {
+				healthy--
+			}
 		}
 	}
-	sv.mu.Unlock()
-	resp := struct {
-		Now                float64        `json:"now"`
-		Cores              int            `json:"cores"`
-		FreeCores          int            `json:"free_cores"`
-		Queued             int            `json:"queued"`
-		Running            int            `json:"running"`
-		Submitted          int            `json:"submitted"`
-		Completed          int            `json:"completed"`
-		Policy             string         `json:"policy"`
-		InvariantViolation string         `json:"invariant_violation,omitempty"`
-		Durable            *durableStatus `json:"durable,omitempty"`
-	}{
-		Now: st.Now, Cores: st.Cores, FreeCores: st.FreeCores,
-		Queued: st.Queued, Running: st.Running,
-		Submitted: st.Submitted, Completed: st.Completed, Policy: st.Policy,
-		Durable: dur,
+	bp := sv.bufs.Get().(*[]byte)
+	o := jsonObject{b: (*bp)[:0]}
+	o.open()
+	o.float("now", st.Now)
+	o.int("shards", st.Shards)
+	o.int("healthy_shards", healthy)
+	o.boolIf("draining", sv.fd.Draining())
+	o.boolIf("durable", health != nil)
+	o.int("cores", st.Cores)
+	o.int("free_cores", st.FreeCores)
+	o.int("queued", st.Queued)
+	o.int("running", st.Running)
+	o.int("submitted", st.Submitted)
+	o.int("completed", st.Completed)
+	o.int("stolen", st.Stolen)
+	o.str("policy", st.Policy)
+	if st.Violation != "" {
+		o.str("invariant_violation", st.Violation)
 	}
-	if err != nil {
-		resp.InvariantViolation = err.Error()
+	o.key("per_shard")
+	o.b = append(o.b, '[')
+	for i, s := range st.PerShard {
+		if i > 0 {
+			o.b = append(o.b, ',')
+		}
+		o.open()
+		o.float("now", s.Now)
+		o.int("cores", s.Cores)
+		o.int("free_cores", s.FreeCores)
+		o.int("queued", s.Queued)
+		o.int("running", s.Running)
+		o.int("submitted", s.Submitted)
+		o.int("completed", s.Completed)
+		o.str("policy", s.Policy)
+		if health != nil {
+			h := &health[i]
+			o.boolIf("quarantined", h.Quarantined)
+			if h.StoreErr != "" {
+				o.str("store_error", h.StoreErr)
+			}
+			o.uint("journal_seq", h.Seq)
+			o.float("last_checkpoint_clock", h.LastCheckpoint)
+			o.boolIf("recovered", h.Recovered)
+			if h.FromSnapshot {
+				o.boolIf("from_snapshot", true)
+				o.uint("snapshot_seq", h.SnapshotSeq)
+				o.float("snapshot_clock", h.SnapshotClock)
+			}
+			o.int("replayed_records", h.Replayed)
+			o.int("segments_scanned", h.Segments)
+		}
+		o.close()
 	}
-	marshalJSON(w, resp)
+	o.b = append(o.b, ']')
+	o.close()
+	sv.writeObject(w, bp, o.b)
 }
 
+// metrics renders the merged metrics with the per-shard list.
 func (sv *server) metrics(w http.ResponseWriter) {
-	sv.mu.Lock()
-	m := sv.s.Metrics()
-	sv.mu.Unlock()
-	marshalJSON(w, struct {
-		Submitted   int     `json:"submitted"`
-		Completed   int     `json:"completed"`
-		Backfilled  int     `json:"backfilled"`
-		MaxQueueLen int     `json:"max_queue_len"`
-		AveBsld     float64 `json:"ave_bsld"`
-		MeanWait    float64 `json:"mean_wait"`
-		MaxBSLD     float64 `json:"max_bsld"`
-		MaxWait     float64 `json:"max_wait"`
-		Utilization float64 `json:"utilization"`
-	}{
-		Submitted: m.Submitted, Completed: m.Completed, Backfilled: m.Backfilled,
-		MaxQueueLen: m.MaxQueueLen, AveBsld: m.AveBsld, MeanWait: m.MeanWait,
-		MaxBSLD: m.MaxBSLD, MaxWait: m.MaxWait, Utilization: m.Utilization,
-	})
+	merged, per := sv.fd.Metrics()
+	bp := sv.bufs.Get().(*[]byte)
+	o := jsonObject{b: (*bp)[:0]}
+	o.open()
+	o.metrics(merged)
+	o.key("per_shard")
+	o.b = append(o.b, '[')
+	for i := range per {
+		if i > 0 {
+			o.b = append(o.b, ',')
+		}
+		o.open()
+		o.metrics(per[i])
+		o.close()
+	}
+	o.b = append(o.b, ']')
+	o.close()
+	sv.writeObject(w, bp, o.b)
+}
+
+// writeObject sends a rendered object as one line and returns its
+// buffer to the pool.
+func (sv *server) writeObject(w http.ResponseWriter, bp *[]byte, buf []byte) {
+	buf = append(buf, '\n')
+	writeJSON(w, buf)
+	*bp = buf
+	sv.bufs.Put(bp)
+}
+
+// jsonObject appends the members of JSON objects to b. Floats render
+// exactly as encoding/json renders them; strings are escaped.
+type jsonObject struct {
+	b     []byte
+	first bool // no member written yet in the innermost open object
+}
+
+func (o *jsonObject) open()  { o.b, o.first = append(o.b, '{'), true }
+func (o *jsonObject) close() { o.b, o.first = append(o.b, '}'), false }
+
+func (o *jsonObject) key(k string) {
+	if !o.first {
+		o.b = append(o.b, ',')
+	}
+	o.first = false
+	o.b = append(o.b, '"')
+	o.b = append(o.b, k...)
+	o.b = append(o.b, '"', ':')
+}
+
+func (o *jsonObject) int(k string, v int) {
+	o.key(k)
+	o.b = strconv.AppendInt(o.b, int64(v), 10)
+}
+
+func (o *jsonObject) uint(k string, v uint64) {
+	o.key(k)
+	o.b = strconv.AppendUint(o.b, v, 10)
+}
+
+func (o *jsonObject) float(k string, v float64) {
+	o.key(k)
+	o.b = appendJSONFloat(o.b, v)
+}
+
+func (o *jsonObject) str(k, v string) {
+	o.key(k)
+	o.b = appendJSONString(o.b, v)
+}
+
+// boolIf writes a true flag and omits a false one.
+func (o *jsonObject) boolIf(k string, v bool) {
+	if v {
+		o.key(k)
+		o.b = append(o.b, "true"...)
+	}
+}
+
+func (o *jsonObject) metrics(m online.Metrics) {
+	o.int("submitted", m.Submitted)
+	o.int("completed", m.Completed)
+	o.int("backfilled", m.Backfilled)
+	o.int("max_queue_len", m.MaxQueueLen)
+	o.float("ave_bsld", m.AveBsld)
+	o.float("mean_wait", m.MeanWait)
+	o.float("max_bsld", m.MaxBSLD)
+	o.float("max_wait", m.MaxWait)
+	o.float("utilization", m.Utilization)
+}
+
+// appendJSONFloat renders f the way encoding/json does — shortest
+// round-trip digits, exponent form outside [1e-6, 1e21) — except that
+// a non-finite value, which JSON cannot carry, renders as null.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// Clean up e-09 to e-9, as encoding/json does.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString renders s as a JSON string: quotes, backslashes and
+// control characters escaped, everything else as is.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, `\u00`...)
+			b = append(b, "0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xf])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // marshalJSON renders a cold-path response through encoding/json.
@@ -414,12 +551,11 @@ func marshalJSON(w http.ResponseWriter, v any) {
 }
 
 // appendStarts renders start notifications into the response buffer.
-func appendStarts(buf []byte, n *int, starts []online.Start) []byte {
-	for _, st := range starts {
-		if *n > 0 {
+func appendStarts(buf []byte, starts []online.Start) []byte {
+	for i, st := range starts {
+		if i > 0 {
 			buf = append(buf, ',')
 		}
-		*n++
 		buf = append(buf, `{"id":`...)
 		buf = strconv.AppendInt(buf, int64(st.ID), 10)
 		buf = append(buf, `,"time":`...)
@@ -445,5 +581,5 @@ func writeJSON(w http.ResponseWriter, buf []byte) {
 func writeErr(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write([]byte(`{"error":` + strconv.Quote(msg) + "}\n"))
+	_, _ = w.Write(append(appendJSONString([]byte(`{"error":`), msg), '}', '\n'))
 }

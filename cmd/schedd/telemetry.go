@@ -21,41 +21,11 @@ import (
 	"github.com/hpcsched/gensched/internal/telemetry"
 )
 
-// recoveryInfo is how the current process came back from the data
-// directory; captured at boot, reported by /v1/status.
-type recoveryInfo struct {
-	Recovered     bool    // state was rebuilt from disk (not a fresh directory)
-	FromSnapshot  bool    // a checkpoint snapshot was the recovery base
-	SnapshotSeq   uint64  // journal sequence the snapshot covered
-	SnapshotClock float64 // logical clock restored from the snapshot
-	Replayed      int     // journal records replayed on top
-	Segments      int     // journal segments scanned
-}
-
 // edgeEndpoints is the fixed per-endpoint latency label set. /metrics,
 // /v1/trace and /healthz stay untimed: scrapes and probes measuring
 // themselves add noise, not signal.
 var edgeEndpoints = []string{
 	"submit", "complete", "advance", "policy", "adapt", "status", "metrics",
-}
-
-// enableTelemetry builds the sink and attaches it across the stack:
-// scheduler, journal, and the adaptive controller if one was started
-// (or recovered) before telemetry came up. Called once at boot, before
-// the daemon serves; recovery replay runs before it, uninstrumented, so
-// counters always describe this process's live traffic.
-func (sv *server) enableTelemetry(traceCap int) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	sv.tel = telemetry.NewSink(traceCap)
-	sv.s.SetTelemetry(sv.tel)
-	if sv.store != nil {
-		sv.store.SetTelemetry(sv.tel)
-	}
-	if sv.ad != nil {
-		sv.ad.SetTelemetry(sv.tel)
-	}
-	sv.edge = telemetry.NewEdge(edgeEndpoints...)
 }
 
 // timed wraps a handler with edge latency measurement. This is the one
@@ -74,48 +44,53 @@ func (sv *server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // promMetrics serves GET /metrics in the Prometheus text exposition
-// format. The sink is plain single-writer state owned by the scheduler
-// thread, so the gauges AND the sink render under the server mutex —
-// a bounded in-memory copy, microseconds, which is the price of
-// keeping the scheduler's own hooks atomic-free. The edge histograms
-// are internally locked and render after the mutex is released.
+// format: federation-level gauges, the per-shard sinks folded into one
+// (counters sum, histograms merge bucket-wise), the shards' trace
+// counters, then the daemon-edge latency histograms. Each shard's sink
+// is single-writer state read under that shard's lock — a bounded
+// in-memory copy, microseconds — and the edge histograms are internally
+// locked.
 func (sv *server) promMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if sv.tel == nil {
+	var merged telemetry.Sink
+	traced, dropped, ok := sv.fd.MergeSinks(&merged)
+	if !ok {
 		writeErr(w, http.StatusNotFound, "telemetry is disabled (-telemetry=false)")
 		return
 	}
 	var ew telemetry.ExpositionWriter
-	sv.mu.Lock()
-	st := sv.s.Status()
-	ew.Gauge("gensched_clock_seconds", "Scheduler logical clock.", st.Now)
-	ew.Gauge("gensched_cores", "Machine size in cores.", float64(st.Cores))
-	ew.Gauge("gensched_free_cores", "Cores currently idle.", float64(st.FreeCores))
-	ew.Gauge("gensched_queued_jobs", "Jobs currently waiting.", float64(st.Queued))
-	ew.Gauge("gensched_running_jobs", "Jobs currently running.", float64(st.Running))
-	if sv.store != nil {
-		broken := 0.0
-		if sv.storeErr != nil {
-			broken = 1
+	st := sv.fd.Status()
+	ew.Gauge("gensched_clock_seconds", "Maximum shard logical clock.", st.Now)
+	ew.Gauge("gensched_shards", "Shard count.", float64(st.Shards))
+	ew.Gauge("gensched_cores", "Total cores across shards.", float64(st.Cores))
+	ew.Gauge("gensched_free_cores", "Cores currently idle across shards.", float64(st.FreeCores))
+	ew.Gauge("gensched_queued_jobs", "Jobs currently waiting across shards.", float64(st.Queued))
+	ew.Gauge("gensched_running_jobs", "Jobs currently running across shards.", float64(st.Running))
+	ew.Gauge("gensched_fed_stolen_placements", "Placements diverted off their hash-primary shard.", float64(st.Stolen))
+	if sv.fd.Durable() {
+		down := 0
+		for _, h := range sv.fd.Health() {
+			if h.Quarantined {
+				down++
+			}
 		}
-		ew.Gauge("gensched_journal_seq", "Sequence the next journal append gets.", float64(sv.store.Seq()))
-		ew.Gauge("gensched_last_checkpoint_clock_seconds", "Logical clock at the last checkpoint.", sv.lastCkpt)
-		ew.Gauge("gensched_store_failed", "1 when the journal has latched a write/sync failure.", broken)
+		ew.Gauge("gensched_quarantined_shards", "Shards whose journal latched a failure.", float64(down))
 	}
-	telemetry.WriteSink(&ew, sv.tel)
-	sv.mu.Unlock()
-	sv.edge.WriteExposition(&ew)
-
+	telemetry.WriteSink(&ew, &merged)
+	ew.Counter("gensched_trace_events_total", "Decision-trace events recorded.", traced)
+	ew.Counter("gensched_trace_events_dropped_total", "Decision-trace events overwritten before export.", dropped)
+	if sv.edge != nil {
+		sv.edge.WriteExposition(&ew)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = ew.WriteTo(w) // a scraper that hung up mid-body is its own problem
 }
 
-// parseTraceQuery validates the /v1/trace query parameters, shared by
-// the single-engine and federated handlers so the two endpoints cannot
-// drift. The semantics, in one place:
+// parseTraceQuery validates the /v1/trace query parameters. The
+// semantics, in one place:
 //
 //   - sample=K keeps every K-th event by sequence number (seq%K == 0).
 //     K must be a positive integer; sample=0 (and any K < 1) is rejected
@@ -150,16 +125,20 @@ func parseTraceQuery(q url.Values) (sample, limit int, format, errMsg string) {
 	return sample, limit, format, ""
 }
 
-// trace serves GET /v1/trace: the decision-trace ring as JSONL (default)
-// or Chrome trace-event JSON (?format=chrome), with ?sample=K keeping
-// every K-th event by sequence and ?limit=N capping to the most recent
-// N after sampling (see parseTraceQuery for the full contract).
+// trace serves GET /v1/trace: the shards' decision traces merged into
+// the canonical (clock, shard, seq) order, as JSONL (default) or Chrome
+// trace-event JSON (?format=chrome), with ?sample=K keeping every K-th
+// event by sequence (per shard) and ?limit=N capping the merged stream
+// to the most recent N after sampling (see parseTraceQuery for the full
+// contract). JSONL lines carry a leading "shard" field spliced onto the
+// event encoding; the Chrome rendering drops the shard tag (the viewer's
+// timeline has no lane for it) but keeps the merged order.
 func (sv *server) trace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if sv.tel == nil || sv.tel.Trace == nil {
+	if sv.fd.ShardSink(0) == nil {
 		writeErr(w, http.StatusNotFound, "telemetry is disabled (-telemetry=false)")
 		return
 	}
@@ -168,26 +147,35 @@ func (sv *server) trace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errMsg)
 		return
 	}
-	// Copy the ring under the server mutex (the tracer is single-writer
-	// scheduler state), then render to the client after releasing it so
-	// a slow reader never stalls scheduling.
-	sv.mu.Lock()
-	events := sv.tel.Trace.Events(sample, limit)
-	sv.mu.Unlock()
+	evs := sv.fd.MergedTrace(sample, limit)
 	if format == "chrome" {
+		plain := make([]telemetry.Event, len(evs))
+		for i, e := range evs {
+			plain[i] = e.Event
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = telemetry.WriteEventsChrome(w, events) // client went away mid-stream; nothing actionable
+		_ = telemetry.WriteEventsChrome(w, plain) // client went away mid-stream; nothing actionable
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
-	_ = telemetry.WriteEventsJSONL(w, events) // client went away mid-stream; nothing actionable
+	var line, ej []byte
+	for _, e := range evs {
+		line = append(line[:0], `{"shard":`...)
+		line = strconv.AppendInt(line, int64(e.Shard), 10)
+		line = append(line, ',')
+		ej = telemetry.AppendEventJSON(ej[:0], e.Event)
+		line = append(line, ej[1:]...) // splice past the event's '{'
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
+			return // client went away mid-stream; nothing actionable
+		}
+	}
 }
 
 // registerPprof exposes net/http/pprof under /debug/pprof/ when the
 // daemon was started with -pprof. Explicit registration (not the
 // package's init side effect on DefaultServeMux) so the profiler is
-// opt-in on the daemon's own mux; shared by the single-engine and
-// federated servers.
+// opt-in on the daemon's own mux.
 func registerPprof(mux *http.ServeMux, on bool) {
 	if !on {
 		return

@@ -4,43 +4,29 @@ package main
 // against the Prometheus text-format rules over a live scrape, /v1/trace
 // round-trips the decision ring in both formats, /healthz goes non-200
 // the moment the journal latches a failure, and /v1/status carries the
-// recovery provenance across a restart.
+// recovery provenance across restarts.
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/durable"
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // newTelemetryServer is newTestServer with telemetry enabled, returning
 // the server value too so tests can reach inside.
 func newTelemetryServer(t *testing.T, cores, traceCap int) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := newServer(s, cores, false)
-	sv.enableTelemetry(traceCap)
-	ts := httptest.NewServer(sv.handler())
-	t.Cleanup(ts.Close)
-	return sv, ts
+	cfg := testConfig(cores)
+	cfg.telemetry, cfg.traceBuf = true, traceCap
+	return startServer(t, cfg)
 }
 
 // driveTraffic pushes the submit/backfill/complete flow from
@@ -63,59 +49,82 @@ func driveTraffic(t *testing.T, ts *httptest.Server) {
 }
 
 func TestScheddHealthzStoreFailure(t *testing.T) {
-	sv, ts := newTelemetryServer(t, 4, 64)
+	dir := t.TempDir()
+	cfg := testConfig(4)
+	cfg.telemetry, cfg.dataDir, cfg.ckptEvery = true, dir, 10
+	_, ts := startServer(t, cfg)
 
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
+	healthz := func() (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+	if code, _ := healthz(); code != http.StatusOK {
+		t.Fatalf("healthy daemon: /healthz = %d, want 200", code)
+	}
+
+	// Latch a journal failure: with the data directory gone, the
+	// checkpoint the next mutation's clock makes due cannot be written.
+	// The daemon is alive but must stop taking traffic, and the probe has
+	// to say so.
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy daemon: /healthz = %d, want 200", resp.StatusCode)
+	if code, r := post(t, ts, "/v1/submit", `{"id":1,"cores":1,"runtime":5,"estimate":5,"now":20}`); code != 200 {
+		t.Fatalf("submit tripping the checkpoint: code=%d reply=%+v", code, r)
 	}
-
-	// Latch a journal failure: the daemon is alive but must stop taking
-	// traffic, and the probe has to say so.
-	sv.mu.Lock()
-	sv.storeErr = errors.New("write wal-000001.log: disk gone")
-	sv.mu.Unlock()
-
-	resp, err = ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	code, body := healthz()
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("failed-store daemon: /healthz = %d, want 503", code)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("failed-store daemon: /healthz = %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "durable store failed") {
+	if !strings.Contains(body, "durable store failed") {
 		t.Fatalf("/healthz body does not name the failure: %s", body)
+	}
+	if code, r := post(t, ts, "/v1/submit", `{"id":2,"cores":1,"runtime":5,"estimate":5,"now":21}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("mutation on a quarantined daemon: code=%d reply=%+v, want 503", code, r)
 	}
 }
 
-// statusDurable fetches /v1/status and returns its durable block.
-func statusDurable(t *testing.T, ts *httptest.Server) *durableStatus {
+// shardProvenance is the durability slice of one /v1/status per_shard
+// entry.
+type shardProvenance struct {
+	JournalSeq      uint64  `json:"journal_seq"`
+	Recovered       bool    `json:"recovered"`
+	FromSnapshot    bool    `json:"from_snapshot"`
+	SnapshotSeq     uint64  `json:"snapshot_seq"`
+	SnapshotClock   float64 `json:"snapshot_clock"`
+	ReplayedRecords int     `json:"replayed_records"`
+	SegmentsScanned int     `json:"segments_scanned"`
+}
+
+// statusDurable fetches /v1/status and returns the one shard's
+// durability block, nil for an in-memory daemon.
+func statusDurable(t *testing.T, ts *httptest.Server) *shardProvenance {
 	t.Helper()
 	var st struct {
-		Durable *durableStatus `json:"durable"`
+		Durable  bool              `json:"durable"`
+		PerShard []shardProvenance `json:"per_shard"`
 	}
 	get(t, ts, "/v1/status", &st)
-	return st.Durable
+	if !st.Durable {
+		return nil
+	}
+	return &st.PerShard[0]
 }
 
 func TestScheddStatusDurableProvenance(t *testing.T) {
 	dir := t.TempDir()
-	init := durable.InitState{Cores: 4, Backfill: int(sim.BackfillEASY), PolicyName: "FCFS"}
+	cfg := testConfig(4)
+	cfg.dataDir = dir
 
 	// Boot 1: fresh directory. Provenance says "not recovered"; the
 	// journal already holds the genesis record.
-	sv, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(sv.handler())
+	sv, ts := startServer(t, cfg)
 	dur := statusDurable(t, ts)
 	if dur == nil {
 		t.Fatal("journaled daemon reported no durable block")
@@ -124,18 +133,13 @@ func TestScheddStatusDurableProvenance(t *testing.T) {
 		t.Fatalf("fresh boot provenance: %+v", *dur)
 	}
 	driveTraffic(t, ts)
-	ts.Close()
 	// Graceful shutdown writes a final checkpoint.
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Boot 2: recovery from that checkpoint, empty journal tail.
-	sv2, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(sv2.handler())
+	_, ts2 := startServer(t, cfg)
 	dur = statusDurable(t, ts2)
 	if dur == nil || !dur.Recovered || !dur.FromSnapshot {
 		t.Fatalf("post-restart provenance: %+v", dur)
@@ -155,24 +159,14 @@ func TestScheddStatusDurableProvenance(t *testing.T) {
 			t.Fatalf("submit after recovery: code=%d reply=%+v", code, r)
 		}
 	}
-	ts2.Close()
-	// ...and this time the process dies without a checkpoint.
-	if err := sv2.store.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// ...and this time the process dies without a checkpoint: boot 3
+	// runs on a copy of the directory as it stands (kill -9).
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	copyDir(t, dir, crashed)
 
 	// Boot 3: snapshot plus a journal tail to replay.
-	sv3, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := sv3.shutdownStore(); err != nil {
-			t.Error(err)
-		}
-	}()
-	ts3 := httptest.NewServer(sv3.handler())
-	defer ts3.Close()
+	cfg.dataDir = crashed
+	_, ts3 := startServer(t, cfg)
 	dur = statusDurable(t, ts3)
 	if dur == nil || !dur.Recovered || !dur.FromSnapshot || dur.ReplayedRecords != 2 {
 		t.Fatalf("snapshot+tail recovery provenance: %+v", dur)

@@ -23,16 +23,16 @@ func ExamplePolicies() {
 	// F1
 }
 
-// ExampleSimulate schedules a tiny hand-built workload and prints each
+// ExampleReplayTrace schedules a tiny hand-built workload and prints each
 // job's start time: under FCFS the 4-core job blocks the queue, so the
 // 1-core job behind it waits even though cores are free.
-func ExampleSimulate() {
+func ExampleReplayTrace() {
 	jobs := []gensched.Job{
 		{ID: 1, Submit: 0, Runtime: 100, Estimate: 100, Cores: 2},
 		{ID: 2, Submit: 10, Runtime: 50, Estimate: 50, Cores: 4},
 		{ID: 3, Submit: 20, Runtime: 30, Estimate: 30, Cores: 1},
 	}
-	res, err := gensched.Simulate(4, jobs, gensched.SimOptions{
+	res, err := gensched.ReplayTrace(4, jobs, gensched.ClusterConfig{
 		Policy: gensched.MustPolicy("FCFS"),
 	})
 	if err != nil {
@@ -47,16 +47,16 @@ func ExampleSimulate() {
 	// job 3 starts at 150
 }
 
-// ExampleSimulate_backfilling enables EASY aggressive backfilling on the
-// same workload: job 3 now jumps ahead because it finishes before the
+// ExampleReplayTrace_backfilling enables EASY aggressive backfilling on
+// the same workload: job 3 now jumps ahead because it finishes before the
 // blocked head's reservation.
-func ExampleSimulate_backfilling() {
+func ExampleReplayTrace_backfilling() {
 	jobs := []gensched.Job{
 		{ID: 1, Submit: 0, Runtime: 100, Estimate: 100, Cores: 2},
 		{ID: 2, Submit: 10, Runtime: 50, Estimate: 50, Cores: 4},
 		{ID: 3, Submit: 20, Runtime: 30, Estimate: 30, Cores: 1},
 	}
-	res, err := gensched.Simulate(4, jobs, gensched.SimOptions{
+	res, err := gensched.ReplayTrace(4, jobs, gensched.ClusterConfig{
 		Policy:   gensched.MustPolicy("FCFS"),
 		Backfill: gensched.BackfillEASY,
 	})

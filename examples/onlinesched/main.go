@@ -26,13 +26,13 @@ func run() error {
 	const cores = 256
 
 	// One day of synthetic jobs at offered load 1.6 (an overloaded day, so the queue builds and policy order matters).
-	trace, err := gensched.LublinTrace(cores, 1, 1.6, 20170612)
+	w, err := gensched.Lublin().Build(gensched.WorkloadRequest{Cores: cores, Days: 1, Sequences: 1, Load: 1.6, Seed: 20170612})
 	if err != nil {
 		return err
 	}
-	jobs := trace.Jobs
+	jobs := w.Windows[0]
 	fmt.Printf("streaming %d jobs over %.1f hours at a %d-core cluster\n",
-		len(jobs), trace.Duration()/3600, cores)
+		len(jobs), (jobs[len(jobs)-1].Submit-jobs[0].Submit)/3600, cores)
 
 	// The live cluster: FCFS with EASY backfilling, the production
 	// baseline the paper's learned policies are deployed against.

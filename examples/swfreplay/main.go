@@ -20,16 +20,13 @@ import (
 func main() {
 	const cores = 128
 
-	// Generate twelve days of workload and persist it as SWF. Load
-	// calibration to 1.05 compresses the clock, leaving a dense trace a
-	// few days long.
-	trace, err := gensched.LublinTrace(cores, 12, 1.05, 42)
+	// Generate twelve days of workload at offered load 1.05, with Tsafrir
+	// user estimates, and persist it as SWF.
+	w, err := gensched.Lublin().Build(gensched.WorkloadRequest{Cores: cores, Days: 12, Sequences: 1, Load: 1.05, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := gensched.ApplyEstimates(trace.Jobs, 8); err != nil {
-		log.Fatal(err)
-	}
+	trace := &gensched.Trace{Name: w.Name, MaxProcs: w.Cores, Jobs: w.Windows[0]}
 	var buf bytes.Buffer
 	if err := gensched.WriteSWF(&buf, trace); err != nil {
 		log.Fatal(err)

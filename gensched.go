@@ -30,9 +30,7 @@
 // Execution is deterministic for any worker count: every cell derives
 // its workload seed with SplitSeed from the cell's axis coordinates, and
 // cells that differ only in policy or backfill mode schedule identical
-// job sequences (the paper's paired-comparison design). One-shot helpers
-// (Simulate, LublinTrace) remain as thin conveniences over the same
-// engine.
+// job sequences (the paper's paired-comparison design).
 //
 // # Subsystems
 //
@@ -136,41 +134,6 @@ func MustPolicy(name string) Policy {
 // configuration strings.
 func ParsePolicy(name, src string) (Policy, error) {
 	return sched.ParseExpr(name, src)
-}
-
-// Simulate schedules jobs on a homogeneous cluster with the given number
-// of cores and returns per-job statistics and aggregate metrics, including
-// the average bounded slowdown (Eq. 2).
-//
-// Deprecated: Simulate is the legacy one-shot path, kept for existing
-// callers and as the golden reference the Runner is tested against. New
-// code should describe the experiment with NewScenario (WithJobs or
-// WithTrace for a fixed workload) and execute it with a Runner, which
-// adds grids, worker pools, cancellation and deterministic seeding.
-func Simulate(cores int, jobs []Job, opt SimOptions) (*SimResult, error) {
-	return sim.Run(sim.Platform{Cores: cores}, jobs, opt)
-}
-
-// LublinTrace generates a synthetic workload from the Lublin–Feitelson
-// model for a machine with the given cores, spanning the given number of
-// days. If targetLoad > 0, arrival times are rescaled so the offered load
-// Σ(r·n)/(cores·span) matches it; pass 0 to keep the model's natural load.
-// Estimates are perfect; see ApplyEstimates for the Tsafrir model.
-//
-// Deprecated: LublinTrace is the legacy one-shot path, kept for existing
-// callers. New code should select the model declaratively with
-// WithLublin on a Scenario, which adds load calibration retries, window
-// slicing, Tsafrir estimates and per-cell seed derivation.
-func LublinTrace(cores int, days, targetLoad float64, seed uint64) (*Trace, error) {
-	gen, err := lublin.NewGenerator(lublin.DefaultParams(cores), cores, seed)
-	if err != nil {
-		return nil, err
-	}
-	jobs := gen.Until(days * 24 * 3600)
-	if targetLoad > 0 {
-		lublin.CalibrateLoad(jobs, cores, targetLoad)
-	}
-	return &Trace{Name: "lublin", MaxProcs: cores, Jobs: jobs}, nil
 }
 
 // ApplyEstimates overwrites every job's user estimate with a draw from the

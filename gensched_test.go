@@ -5,7 +5,26 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/hpcsched/gensched/internal/lublin"
+	"github.com/hpcsched/gensched/internal/sim"
 )
+
+// lublinTrace generates a Lublin–Feitelson trace for a machine of the
+// given cores spanning days, load-calibrated when targetLoad > 0, with
+// perfect estimates.
+func lublinTrace(t testing.TB, cores int, days, targetLoad float64, seed uint64) *Trace {
+	t.Helper()
+	gen, err := lublin.NewGenerator(lublin.DefaultParams(cores), cores, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := gen.Until(days * 24 * 3600)
+	if targetLoad > 0 {
+		lublin.CalibrateLoad(jobs, cores, targetLoad)
+	}
+	return &Trace{Name: "lublin", MaxProcs: cores, Jobs: jobs}
+}
 
 func TestPoliciesRegistry(t *testing.T) {
 	ps := Policies()
@@ -29,39 +48,8 @@ func TestMustPolicy(t *testing.T) {
 	MustPolicy("NOPE")
 }
 
-func TestLublinTraceAndSimulate(t *testing.T) {
-	trace, err := LublinTrace(64, 2, 1.0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Jobs) == 0 {
-		t.Fatal("empty trace")
-	}
-	if err := trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(64, trace.Jobs, SimOptions{Policy: MustPolicy("F1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AVEbsld < 1 {
-		t.Errorf("AVEbsld = %v", res.AVEbsld)
-	}
-	// Natural load requested: pass 0.
-	nat, err := LublinTrace(64, 1, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nat.Jobs) == 0 {
-		t.Fatal("empty natural-load trace")
-	}
-}
-
 func TestApplyEstimates(t *testing.T) {
-	trace, err := LublinTrace(64, 1, 0.9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := lublinTrace(t, 64, 1, 0.9, 3)
 	if err := ApplyEstimates(trace.Jobs, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +61,7 @@ func TestApplyEstimates(t *testing.T) {
 }
 
 func TestSWFRoundTripFacade(t *testing.T) {
-	trace, err := LublinTrace(32, 1, 0.8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := lublinTrace(t, 32, 1, 0.8, 5)
 	var buf bytes.Buffer
 	if err := WriteSWF(&buf, trace); err != nil {
 		t.Fatal(err)
@@ -109,11 +94,8 @@ func TestTrainAndFitPipeline(t *testing.T) {
 		t.Errorf("learned policy name = %q", policies[0].Name())
 	}
 	// Learned policies must be usable in the simulator.
-	trace, err := LublinTrace(256, 1, 1.0, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Simulate(256, trace.Jobs, SimOptions{Policy: policies[0]}); err != nil {
+	trace := lublinTrace(t, 256, 1, 1.0, 13)
+	if _, err := sim.Run(sim.Platform{Cores: 256}, trace.Jobs, SimOptions{Policy: policies[0]}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,10 +126,7 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestSliceWindowsFacade(t *testing.T) {
-	trace, err := LublinTrace(64, 4, 0.9, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := lublinTrace(t, 64, 4, 0.9, 17)
 	ws, err := SliceWindows(trace, 1, 3)
 	if err != nil {
 		t.Fatal(err)

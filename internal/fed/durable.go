@@ -25,8 +25,7 @@
 // — while every healthy shard keeps serving its own substream
 // untouched. The mutation that trips the latch is the exception: it was
 // applied in memory but not journaled, which ShardBrokenError reports
-// as a fatal (non-retryable) condition, exactly like the single-engine
-// daemon's 500.
+// as a fatal (non-retryable) condition — a 500 at the daemon.
 
 package fed
 
@@ -36,6 +35,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/hpcsched/gensched/internal/adaptive"
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/sched"
@@ -67,8 +67,8 @@ type DurableConfig struct {
 	// Dir is the federation data directory; each shard stores under
 	// Dir/shard-NNNN/. Empty means no durability.
 	Dir string
-	// SyncEvery and CkptEvery carry the single-engine -fsync-every and
-	// -checkpoint-every semantics, per shard (CkptEvery in logical
+	// SyncEvery and CkptEvery carry the daemon's -fsync and
+	// -checkpoint-interval semantics, per shard (CkptEvery in logical
 	// seconds of the shard's own clock; 0 checkpoints only on drain).
 	SyncEvery int
 	CkptEvery float64
@@ -84,16 +84,21 @@ type DurableConfig struct {
 	FS func(shard int) durable.FS
 }
 
-// ShardHealth is one shard's durability and degradation status.
+// ShardHealth is one shard's durability and degradation status: the
+// journal's position and health now, and how the current process came
+// back from disk (recovery provenance, static after Open).
 type ShardHealth struct {
-	Durable      bool
-	Quarantined  bool
-	StoreErr     string
-	Seq          uint64 // next journal sequence
-	Recovered    bool
-	FromSnapshot bool
-	Replayed     int
-	Segments     int
+	Durable        bool
+	Quarantined    bool
+	StoreErr       string
+	Seq            uint64  // next journal sequence
+	LastCheckpoint float64 // shard clock at the last checkpoint (or recovery)
+	Recovered      bool
+	FromSnapshot   bool
+	SnapshotSeq    uint64  // journal sequence the recovery snapshot covered
+	SnapshotClock  float64 // shard clock restored from it, before replay
+	Replayed       int
+	Segments       int
 }
 
 // shardDirName is the canonical per-shard directory name.
@@ -266,6 +271,7 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 		if err := store.Sync(); err != nil {
 			return nil, err
 		}
+		store.SetTelemetry(sh.jtel)
 		return out, nil
 	}
 
@@ -274,9 +280,6 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 	var s *online.Scheduler
 	polName, polExpr := dur.PolicyName, dur.PolicyExpr
 	if snap := rec.Snapshot; snap != nil {
-		if snap.Adapt != nil {
-			return nil, fmt.Errorf("snapshot carries an adaptive loop; the federation does not run one")
-		}
 		switch {
 		case snap.Fed != nil:
 			if snap.Fed.Shard != i || snap.Fed.Shards != cfg.Shards || snap.Fed.Seed != cfg.Seed {
@@ -305,6 +308,8 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 			out.snapActive = append(out.snapActive, a.ID)
 		}
 		sh.health.FromSnapshot = true
+		sh.health.SnapshotSeq = snap.Seq
+		sh.health.SnapshotClock = s.Clock()
 	} else {
 		if records[0].Op != durable.OpInit {
 			return nil, fmt.Errorf("journal does not begin with an init record")
@@ -327,6 +332,14 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 		return nil, err
 	}
 	sh.initShard(f, s, recInit, polName, polExpr)
+	if snap := rec.Snapshot; snap != nil && snap.Adapt != nil {
+		ac := snap.Adapt.Config
+		ctrl, err := adaptive.Restore(f.adaptiveConfig(sh, i, &ac), &snap.Adapt.State)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot adaptive loop: %w", err)
+		}
+		sh.ad, sh.adCfg = ctrl, &ac
+	}
 	sh.vt, sh.stolenOnto = out.snapVT, out.snapStolen
 	sh.store = store
 	sh.health.Recovered = true
@@ -343,13 +356,17 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 		}
 	}
 	sh.lastCkpt = s.Clock()
+	store.SetTelemetry(sh.jtel)
 	out.records = records
 	return out, nil
 }
 
-// initShard wires a shard's scheduler, telemetry sink and descriptors.
-// The sink attaches before any replay so a recovered shard's trace ring
-// is re-derived record by record, exactly as the live shard built it.
+// initShard wires a shard's scheduler, telemetry sinks and descriptors.
+// The scheduler's sink attaches before any replay so a recovered shard's
+// trace ring is re-derived record by record, exactly as the live shard
+// built it. The journal's counters go to a separate ring-less sink that
+// the caller attaches after recovery: they count this process's appends
+// and syncs, and keep WAL events out of the re-derivable trace.
 func (sh *shard) initShard(f *Federation, s *online.Scheduler, init durable.InitState, polName, polExpr string) {
 	sh.s = s
 	sh.init = init
@@ -357,42 +374,34 @@ func (sh *shard) initShard(f *Federation, s *online.Scheduler, init durable.Init
 	if f.cfg.TraceBuf > 0 {
 		sh.tel = telemetry.NewSink(f.cfg.TraceBuf)
 		s.SetTelemetry(sh.tel)
+		sh.jtel = &telemetry.Sink{}
 	}
 }
 
 // applyRecord replays one journaled operation against shard-owned
-// state, including the routing mirrors. Identical to the live mutation
-// path minus the journaling itself.
+// state through the live mutation path (minus the journaling itself),
+// plus the routing mirrors the live path advances at journal time.
 func (sh *shard) applyRecord(f *Federation, i int, rec *durable.Record) error {
 	switch rec.Op {
-	case durable.OpSubmit:
-		if _, err := sh.s.SubmitAt(rec.Now, rec.Job); err != nil {
+	case durable.OpSubmit, durable.OpComplete, durable.OpAdvance:
+		if _, err := sh.apply(rec); err != nil {
 			return err
 		}
-		sh.noteSubmitMirror(f, i, rec.Now, rec.Job)
-		return nil
-	case durable.OpComplete:
-		_, err := sh.s.CompleteAt(rec.Now, rec.ID)
-		return err
-	case durable.OpAdvance:
-		t := rec.Now
-		if c := sh.s.Clock(); t < c {
-			t = c
+		if rec.Op == durable.OpSubmit {
+			sh.noteSubmitMirror(f, i, rec.Now, rec.Job)
 		}
-		_, err := sh.s.AdvanceTo(t)
-		return err
+		return nil
 	case durable.OpPolicy:
 		p, err := f.dur.ResolvePolicy(rec.Name, rec.Expr)
 		if err != nil {
 			return err
 		}
-		if err := sh.s.SetPolicy(p); err != nil {
-			return err
-		}
-		sh.policyName, sh.policyExpr = rec.Name, rec.Expr
+		return sh.setPolicy(p, rec.Name, rec.Expr)
+	case durable.OpAdaptStart:
+		return f.startShardAdapt(sh, i, rec.Adapt)
+	case durable.OpAdaptStop:
+		sh.stopAdapt()
 		return nil
-	case durable.OpAdaptStart, durable.OpAdaptStop:
-		return fmt.Errorf("adaptive-loop records are a single-engine feature")
 	case durable.OpInit:
 		return fmt.Errorf("unexpected init record mid-journal")
 	}
@@ -468,6 +477,9 @@ func (f *Federation) shardSnapshotLocked(sh *shard, i int) (*durable.Snapshot, e
 	if err := sh.s.ExportState(&snap.Sched); err != nil {
 		return nil, err
 	}
+	if sh.ad != nil {
+		snap.Adapt = &durable.AdaptState{Config: *sh.adCfg, State: *sh.ad.ExportState()}
+	}
 	return snap, nil
 }
 
@@ -483,7 +495,7 @@ func (f *Federation) ShardSnapshot(i int) (*durable.Snapshot, error) {
 
 // checkpointShardLocked snapshots one shard and rotates its journal.
 // Failures latch + quarantine rather than failing the request that
-// tripped the cadence, mirroring the single-engine daemon.
+// tripped the cadence.
 func (f *Federation) checkpointShardLocked(sh *shard, i int) {
 	snap, err := f.shardSnapshotLocked(sh, i)
 	if err == nil {
@@ -560,6 +572,7 @@ func (f *Federation) Health() []ShardHealth {
 		h.Durable = sh.store != nil
 		if sh.store != nil {
 			h.Seq = sh.store.Seq()
+			h.LastCheckpoint = sh.lastCkpt
 		}
 		if sh.storeErr != nil {
 			h.StoreErr = sh.storeErr.Error()

@@ -52,9 +52,10 @@ func durDC(dir string) DurableConfig {
 // request stream it produced. The stream is a pure function of the
 // inputs, so it can be replayed against durable federations — including
 // partially recovered ones — as the canonical workload. With mutations
-// true a policy swap is spliced into the submit phase and a clock
-// advance between the phases; the fault tests leave them out so every
-// op targets exactly one shard.
+// true the per-shard adaptive loops start early in the submit phase, a
+// policy swap is spliced into it, and a clock advance sits between the
+// phases; the fault tests leave them out so every op targets exactly one
+// shard.
 func scriptFedOps(t *testing.T, shards int, jobs []workload.Job, mutations bool) []durable.Record {
 	t.Helper()
 	f, err := New(durCfg(shards))
@@ -71,6 +72,12 @@ func scriptFedOps(t *testing.T, shards int, jobs []workload.Job, mutations bool)
 	apply := func(rec durable.Record) {
 		t.Helper()
 		ops = append(ops, rec)
+		if rec.Op == durable.OpAdaptStart || rec.Op == durable.OpAdaptStop || rec.Op == durable.OpPolicy {
+			if err := applyFedOp(f, &rec); err != nil {
+				t.Fatalf("script %v: %v", rec.Op, err)
+			}
+			return
+		}
 		switch rec.Op {
 		case durable.OpSubmit:
 			_, sts, _, err := f.Submit(rec.Now, rec.Job, nil)
@@ -90,17 +97,16 @@ func scriptFedOps(t *testing.T, shards int, jobs []workload.Job, mutations bool)
 				t.Fatalf("script advance: %v", err)
 			}
 			addStarts(sts)
-		case durable.OpPolicy:
-			p, err := testResolvePolicy(rec.Name, rec.Expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.SetPolicyNamed(p, rec.Name, rec.Expr); err != nil {
-				t.Fatalf("script policy: %v", err)
-			}
 		}
 	}
 	for k, j := range jobs {
+		if mutations && k == len(jobs)/4 {
+			// Rounds small enough to retrain often on a tiny window.
+			apply(durable.Record{Op: durable.OpAdaptStart, Adapt: &durable.AdaptConfig{
+				Window: 32, MinWindow: 2, Interval: (jobs[len(jobs)-1].Submit - jobs[0].Submit) / 8,
+				SSize: 4, QSize: 8, Tuples: 1, Trials: 8, TopK: 1, Workers: 1, Seed: 3,
+			}})
+		}
 		if mutations && k == len(jobs)/2 {
 			apply(durable.Record{Op: durable.OpPolicy, Name: "LIN", Expr: "log10(r)*n + 870*log10(s)"})
 		}
@@ -118,6 +124,15 @@ func scriptFedOps(t *testing.T, shards int, jobs []workload.Job, mutations bool)
 		for _, id := range ids {
 			delete(running, id)
 			apply(durable.Record{Op: durable.OpComplete, Now: f.Clock() + 1, ID: id})
+		}
+	}
+	if mutations {
+		rounds := 0
+		for _, a := range f.AdaptStatus() {
+			rounds += a.Rounds
+		}
+		if rounds == 0 {
+			t.Fatal("scripted stream never retrained; retune the adaptive sizing")
 		}
 	}
 	return ops
@@ -140,7 +155,11 @@ func applyFedOp(f *Federation, rec *durable.Record) error {
 		if err != nil {
 			return err
 		}
-		return f.SetPolicyNamed(p, rec.Name, rec.Expr)
+		return f.SetPolicy(p, rec.Name, rec.Expr)
+	case durable.OpAdaptStart:
+		return f.StartAdapt(*rec.Adapt)
+	case durable.OpAdaptStop:
+		return f.StopAdapt()
 	}
 	return fmt.Errorf("unscripted op %v", rec.Op)
 }
@@ -687,7 +706,7 @@ func TestFedDrainRefusesMutations(t *testing.T) {
 	if _, _, err := f.AdvanceTo(f.Clock()+1, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("advance after drain: %v", err)
 	}
-	if err := f.SetPolicyNamed(sched.FCFS(), "FCFS", ""); !errors.Is(err, ErrDraining) {
+	if err := f.SetPolicy(sched.FCFS(), "FCFS", ""); !errors.Is(err, ErrDraining) {
 		t.Fatalf("policy after drain: %v", err)
 	}
 	if !Retryable(ErrDraining) {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/hpcsched/gensched/internal/adaptive"
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/sched"
@@ -40,14 +41,26 @@ type Config struct {
 	Workers int
 }
 
-// shard is one engine plus its lock, sink and (in a durable federation)
-// its journal. The scheduler, sink and store are shard-owned
+// shard is one engine plus its lock, sink, adaptive loop and (in a
+// durable federation) its journal. All of it is shard-owned
 // single-writer state: every interaction happens under mu, and the
 // supervisor's goroutines touch one shard each.
 type shard struct {
 	mu  sync.Mutex
 	s   *online.Scheduler
 	tel *telemetry.Sink
+	// jtel counts the journal's appends, syncs and checkpoints. It has no
+	// trace ring: WAL events are this process's I/O, not decisions a
+	// recovery can re-derive (see initShard).
+	jtel *telemetry.Sink
+
+	// The adaptive retraining loop (see adapt.go): nil until an
+	// adapt-start record attaches one. adCfg is the journaled sizing that
+	// started it (carried into snapshots); adErr is the loop's last
+	// failure, reported by AdaptStatus.
+	ad    *adaptive.Controller
+	adCfg *durable.AdaptConfig
+	adErr error
 
 	// Durability (nil/zero in a non-durable federation). storeErr latches
 	// the first journaling failure; the shard is quarantined in the
@@ -80,6 +93,10 @@ type Federation struct {
 	router *Router
 	shards []*shard
 
+	// ctl serializes the control fan-outs (policy swaps, adaptive-loop
+	// start/stop) so two of them never interleave across shards.
+	ctl sync.Mutex
+
 	// dur is non-nil for a durable federation (Open with a data dir).
 	dur      *DurableConfig
 	draining bool
@@ -101,12 +118,8 @@ func New(cfg Config) (*Federation, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{s: s}
-		if cfg.TraceBuf > 0 {
-			sh.tel = telemetry.NewSink(cfg.TraceBuf)
-			s.SetTelemetry(sh.tel)
-		}
-		f.shards[i] = sh
+		f.shards[i] = &shard{}
+		f.shards[i].initShard(f, s, durable.InitState{}, "", "")
 	}
 	return f, nil
 }
@@ -152,11 +165,12 @@ func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (sh
 		f.mu.Unlock()
 		return shardIdx, buf, 0, &ShardDownError{Shard: shardIdx}
 	}
-	st, serr := sh.s.SubmitAt(now, j)
+	rec := durable.Record{Op: durable.OpSubmit, Now: now, Job: j}
+	st, serr := sh.apply(&rec)
 	starts = append(buf, st...) // copy out of the scheduler's scratch
 	var jerr error
 	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &durable.Record{Op: durable.OpSubmit, Now: now, Job: j})
+		jerr = f.journalLocked(sh, shardIdx, &rec)
 	}
 	clock = sh.s.Clock()
 	sh.mu.Unlock()
@@ -183,7 +197,7 @@ func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts [
 	shardIdx, ok := f.router.Locate(id)
 	f.mu.Unlock()
 	if !ok {
-		return buf, 0, fmt.Errorf("fed: job %d is not placed on any shard", id)
+		return buf, 0, fmt.Errorf("fed: job %d is not active on any shard", id)
 	}
 	sh := f.shards[shardIdx]
 	sh.mu.Lock()
@@ -191,11 +205,12 @@ func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts [
 		sh.mu.Unlock()
 		return buf, 0, &ShardDownError{Shard: shardIdx}
 	}
-	st, serr := sh.s.CompleteAt(now, id)
+	rec := durable.Record{Op: durable.OpComplete, Now: now, ID: id}
+	st, serr := sh.apply(&rec)
 	starts = append(buf, st...)
 	var jerr error
 	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &durable.Record{Op: durable.OpComplete, Now: now, ID: id})
+		jerr = f.journalLocked(sh, shardIdx, &rec)
 	}
 	clock = sh.s.Clock()
 	sh.mu.Unlock()
@@ -230,17 +245,14 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 			sh.mu.Unlock()
 			continue
 		}
-		t := now
-		if c := sh.s.Clock(); t < c {
-			t = c
-		}
-		st, aerr := sh.s.AdvanceTo(t)
+		// The unclamped request time is journaled; apply clamps it against
+		// the shard clock, live and in replay alike.
+		rec := durable.Record{Op: durable.OpAdvance, Now: now}
+		st, aerr := sh.apply(&rec)
 		starts = append(starts, st...)
 		var jerr error
 		if aerr == nil {
-			// The unclamped request time is journaled; replay re-clamps
-			// against the shard clock exactly as the live path did.
-			jerr = f.journalLocked(sh, i, &durable.Record{Op: durable.OpAdvance, Now: now})
+			jerr = f.journalLocked(sh, i, &rec)
 		}
 		if c := sh.s.Clock(); c > clock {
 			clock = c
@@ -259,22 +271,24 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 	return starts, clock, nil
 }
 
-// SetPolicy hot-swaps the queue policy on every shard, in shard order.
-// A durable federation must use SetPolicyNamed — the journal records a
-// policy by descriptor, not by value.
-func (f *Federation) SetPolicy(p sched.Policy) error {
-	if f.dur != nil {
-		return fmt.Errorf("fed: a durable federation swaps policies by name (SetPolicyNamed)")
-	}
-	return f.setPolicy(p, "", "")
+// SetPolicy hot-swaps the queue policy on every shard, in shard order,
+// journaling the swap per shard by its descriptor (name, expr) — the
+// journal records a policy the way a client named it, and recovery
+// resolves it back through DurableConfig.ResolvePolicy.
+func (f *Federation) SetPolicy(p sched.Policy, name, expr string) error {
+	f.ctl.Lock()
+	defer f.ctl.Unlock()
+	rec := durable.Record{Op: durable.OpPolicy, Name: name, Expr: expr}
+	return f.fanOut(&rec, func(sh *shard, _ int) error { return sh.setPolicy(p, name, expr) })
 }
 
-// SetPolicyNamed hot-swaps the queue policy on every shard, in shard
-// order, journaling the swap per shard. It refuses unless every shard is
-// healthy: a policy that lands on a strict subset of shards would make
-// the federation's placement-to-schedule mapping depend on which shard
-// failed when.
-func (f *Federation) SetPolicyNamed(p sched.Policy, name, expr string) error {
+// fanOut applies one control record to every shard in shard order, each
+// under its own lock — op mutates the shard, then the record is
+// journaled there. It refuses while draining and unless every shard is
+// healthy: a control op that lands on a strict subset of shards would
+// make every later output depend on which shard failed when. Callers
+// hold f.ctl.
+func (f *Federation) fanOut(rec *durable.Record, op func(sh *shard, i int) error) error {
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -282,31 +296,74 @@ func (f *Federation) SetPolicyNamed(p sched.Policy, name, expr string) error {
 	}
 	if h := f.router.Healthy(); h < f.cfg.Shards {
 		f.mu.Unlock()
-		return fmt.Errorf("fed: refusing policy swap with %d/%d shards quarantined", f.cfg.Shards-h, f.cfg.Shards)
+		return fmt.Errorf("fed: refusing %v with %d/%d shards quarantined", rec.Op, f.cfg.Shards-h, f.cfg.Shards)
 	}
 	f.mu.Unlock()
-	return f.setPolicy(p, name, expr)
-}
-
-func (f *Federation) setPolicy(p sched.Policy, name, expr string) error {
 	for i, sh := range f.shards {
 		sh.mu.Lock()
 		if sh.storeErr != nil {
 			sh.mu.Unlock()
 			return &ShardDownError{Shard: i}
 		}
-		err := sh.s.SetPolicy(p)
+		err := op(sh, i)
 		if err == nil {
-			err = f.journalLocked(sh, i, &durable.Record{Op: durable.OpPolicy, Name: name, Expr: expr})
-			if err == nil {
-				sh.policyName, sh.policyExpr = name, expr
-			}
+			err = f.journalLocked(sh, i, rec)
 		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// apply executes one scheduling record — submit, complete or advance —
+// against shard-owned state, then feeds the adaptive loop: a submit is
+// observed, and a round that came due at the new clock runs and applies
+// its promotion. Live mutations and journal replay both come through
+// here, so replay re-derives every retraining decision instead of
+// reading it from disk. The returned starts are the scheduler's scratch.
+// Called with sh.mu held.
+func (sh *shard) apply(rec *durable.Record) ([]online.Start, error) {
+	var (
+		starts []online.Start
+		err    error
+	)
+	switch rec.Op {
+	case durable.OpSubmit:
+		starts, err = sh.s.SubmitAt(rec.Now, rec.Job)
+		if err == nil && sh.ad != nil {
+			job := rec.Job
+			if job.Submit == 0 {
+				job.Submit = sh.s.Clock() // the stamp SubmitAt applied
+			}
+			sh.ad.Observe(job)
+		}
+	case durable.OpComplete:
+		starts, err = sh.s.CompleteAt(rec.Now, rec.ID)
+	case durable.OpAdvance:
+		t := rec.Now
+		if c := sh.s.Clock(); t < c {
+			t = c // the logical clock never moves backward
+		}
+		starts, err = sh.s.AdvanceTo(t)
+	default:
+		return nil, fmt.Errorf("fed: %v is not a scheduling record", rec.Op)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sh.adaptStep()
+	return starts, nil
+}
+
+// setPolicy swaps the shard's policy and tracks its descriptor, which
+// snapshots carry. Called with sh.mu held.
+func (sh *shard) setPolicy(p sched.Policy, name, expr string) error {
+	if err := sh.s.SetPolicy(p); err != nil {
+		return err
+	}
+	sh.policyName, sh.policyExpr = name, expr
 	return nil
 }
 
@@ -325,16 +382,21 @@ func (f *Federation) Clock() float64 {
 
 // Status is the merged federation view plus the per-shard snapshots.
 type Status struct {
-	Now       float64         // maximum shard clock
-	Shards    int             //
-	Cores     int             // total federated cores
-	FreeCores int             //
-	Queued    int             //
-	Running   int             //
-	Submitted int             //
-	Completed int             //
-	Stolen    int             // placements diverted by the load fallback
-	Policy    string          //
+	Now       float64 // maximum shard clock
+	Shards    int     //
+	Cores     int     // total federated cores
+	FreeCores int     //
+	Queued    int     //
+	Running   int     //
+	Submitted int     //
+	Completed int     //
+	Stolen    int     // placements diverted by the load fallback
+	// Policy is the policy every shard runs, or "mixed" once per-shard
+	// adaptive loops have promoted different ones (PerShard says which).
+	Policy string
+	// Violation is the first invariant violation a shard recorded under
+	// Options.Check (lowest shard first), or "".
+	Violation string
 	PerShard  []online.Status // indexed by shard
 }
 
@@ -345,8 +407,15 @@ func (f *Federation) Status() Status {
 	for i, sh := range f.shards {
 		sh.mu.Lock()
 		s := sh.s.Status()
+		verr := sh.s.Err()
 		sh.mu.Unlock()
 		st.PerShard[i] = s
+		if verr != nil && st.Violation == "" {
+			st.Violation = verr.Error()
+			if f.cfg.Shards > 1 {
+				st.Violation = fmt.Sprintf("shard %d: %s", i, st.Violation)
+			}
+		}
 		if s.Now > st.Now {
 			st.Now = s.Now
 		}
@@ -356,7 +425,12 @@ func (f *Federation) Status() Status {
 		st.Running += s.Running
 		st.Submitted += s.Submitted
 		st.Completed += s.Completed
-		st.Policy = s.Policy
+		switch {
+		case i == 0:
+			st.Policy = s.Policy
+		case s.Policy != st.PerShard[0].Policy:
+			st.Policy = "mixed"
+		}
 	}
 	return st
 }
@@ -407,19 +481,23 @@ func MergeMetrics(per []online.Metrics) online.Metrics {
 	return m
 }
 
-// MergedSink folds every shard's counters and histograms into one sink
-// (traces excluded — see MergedTrace). Nil when telemetry is off.
-func (f *Federation) MergedSink() *telemetry.Sink {
+// MergeSinks folds every shard's counters and histograms, journal
+// included, into m (traces excluded — see MergedTrace) and returns the
+// shards' summed trace accounting: events recorded, and events
+// overwritten before export. ok is false when telemetry is off.
+func (f *Federation) MergeSinks(m *telemetry.Sink) (traced, dropped uint64, ok bool) {
 	if f.cfg.TraceBuf <= 0 {
-		return nil
+		return 0, 0, false
 	}
-	m := &telemetry.Sink{}
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		m.Merge(sh.tel)
+		m.Merge(sh.jtel)
+		traced += sh.tel.Trace.Total()
+		dropped += sh.tel.Trace.Dropped()
 		sh.mu.Unlock()
 	}
-	return m
+	return traced, dropped, true
 }
 
 // ShardSink returns shard i's sink (nil when telemetry is off). The

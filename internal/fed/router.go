@@ -227,7 +227,7 @@ func (r *Router) load(s int, now float64) float64 {
 // must not be corrupted by a duplicate.
 func (r *Router) Place(now float64, j workload.Job) (int, error) {
 	if _, dup := r.placed[j.ID]; dup {
-		return 0, fmt.Errorf("fed: job ID %d is already placed", j.ID)
+		return 0, fmt.Errorf("fed: job ID %d is already active", j.ID)
 	}
 	s := r.primary(j.ID)
 	// A quarantined primary refuses rather than diverts: healthy shards
@@ -270,7 +270,7 @@ func (r *Router) Place(now float64, j workload.Job) (int, error) {
 // the ring — a placement off its hash-primary was a steal.
 func (r *Router) Adopt(now float64, j workload.Job, s int) error {
 	if _, dup := r.placed[j.ID]; dup {
-		return fmt.Errorf("fed: job ID %d is already placed", j.ID)
+		return fmt.Errorf("fed: job ID %d is already active", j.ID)
 	}
 	if s != r.primary(j.ID) {
 		r.stolenOnto[s]++
@@ -288,7 +288,7 @@ func (r *Router) Adopt(now float64, j workload.Job, s int) error {
 // FedState already accounts for it.
 func (r *Router) AdoptActive(id, s int) error {
 	if _, dup := r.placed[id]; dup {
-		return fmt.Errorf("fed: job ID %d is already placed", id)
+		return fmt.Errorf("fed: job ID %d is already active", id)
 	}
 	r.placed[id] = s
 	return nil

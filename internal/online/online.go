@@ -271,11 +271,12 @@ func (s *Scheduler) Complete(id int) error {
 		s.lastFinish = t.Finish
 	}
 	s.completed++
+	// Before Release: it zeroes the task t points at.
+	s.tel.JobCompleted(t.Finish, id, wait, b)
 
 	delete(s.byID, id)
 	s.eng.Release(ti)
 	s.dirty = true
-	s.tel.JobCompleted(t.Finish, id, wait, b)
 	return nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // gridBase is a cheap base scenario for grid tests: a small machine,
@@ -241,15 +243,13 @@ func TestRunnerPairedWorkloads(t *testing.T) {
 	}
 }
 
-// TestRunnerGoldenVersusSimulate pins the new path to the legacy one: a
-// fixed-jobs grid cell must reproduce Simulate exactly.
+// TestRunnerGoldenVersusSimulate pins the Runner to the batch simulator
+// it drives: a fixed-jobs grid cell must reproduce a direct simulation of
+// the same jobs exactly.
 func TestRunnerGoldenVersusSimulate(t *testing.T) {
-	trace, err := LublinTrace(64, 1, 1.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := lublinTrace(t, 64, 1, 1.0, 5)
 	for _, mode := range []BackfillMode{BackfillNone, BackfillEASY} {
-		legacy, err := Simulate(64, trace.Jobs, SimOptions{
+		direct, err := sim.Run(sim.Platform{Cores: 64}, trace.Jobs, SimOptions{
 			Policy:   MustPolicy("F1"),
 			Backfill: mode,
 		})
@@ -268,9 +268,9 @@ func TestRunnerGoldenVersusSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.PerSeq) != 1 || res.PerSeq[0] != legacy.AVEbsld {
-			t.Errorf("mode %v: grid cell AVEbsld %v != legacy Simulate %v",
-				mode, res.PerSeq[0], legacy.AVEbsld)
+		if len(res.PerSeq) != 1 || res.PerSeq[0] != direct.AVEbsld {
+			t.Errorf("mode %v: grid cell AVEbsld %v != direct simulation %v",
+				mode, res.PerSeq[0], direct.AVEbsld)
 		}
 	}
 }

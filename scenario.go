@@ -505,8 +505,8 @@ func (s windowsSource) maxJobCores() (cores, jobID int) {
 }
 
 // FixedTrace returns a source that replays an existing trace. With
-// Days = 0 and one sequence the jobs are scheduled exactly as given —
-// the legacy Simulate path; otherwise the trace is cut into rebased
+// Days = 0 and one sequence the jobs are scheduled exactly as given;
+// otherwise the trace is cut into rebased
 // disjoint windows like SliceWindows.
 func FixedTrace(t *Trace) WorkloadSource { return traceSource{t} }
 
