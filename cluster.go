@@ -12,8 +12,9 @@ import (
 // instead of requiring the whole workload up front the way a Scenario does.
 // It maintains the waiting queue, the running set and the backfill
 // structures incrementally across calls, and supports hot-swapping the
-// queue policy without dropping state. cmd/schedd serves a Cluster over
-// HTTP; examples/onlinesched drives one directly.
+// queue policy without dropping state. examples/onlinesched drives one
+// directly. cmd/schedd does not serve a Cluster: it serves an
+// internal/fed federation, whose shards run the same online engine.
 //
 // The streaming contract mirrors a batch scheduler's event loop: Submit
 // and Complete record what happened at the current instant, and the

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -190,4 +191,39 @@ func TestLoopDeterministicAcrossWorkers(t *testing.T) {
 // first round's drift).
 func sameFloat(a, b float64) bool {
 	return a == b || (math.IsInf(a, 1) && math.IsInf(b, 1))
+}
+
+// TestShadowEvalAcrossWorkers pins the twin replay: every policy's
+// AveBsld equals sim.Run's bit for bit and does not depend on how many
+// workers run the replays.
+func TestShadowEvalAcrossWorkers(t *testing.T) {
+	win := driftingJobs(41)[:300]
+	policies := []sched.Policy{stale(t), sched.FCFS(), sched.SPT(), sched.F1(), sched.F3(), sched.WFP3()}
+	cfg := testConfig(3)
+	cfg.Backfill = sim.BackfillEASY
+	cfg.BackfillOrder = sched.SPT()
+	cfg.UseEstimates = true
+	cfg.Tau = 30
+	var got [2][]float64
+	for i, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		bslds, err := shadowEval(context.Background(), win, cfg, policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = bslds
+	}
+	for k, p := range policies {
+		res, err := sim.Run(sim.Platform{Cores: cfg.Cores}, win, sim.Options{
+			Policy: p, UseEstimates: true, Backfill: sim.BackfillEASY, BackfillOrder: sched.SPT(), Tau: 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Float64bits(res.AVEbsld)
+		if math.Float64bits(got[0][k]) != want || math.Float64bits(got[1][k]) != want {
+			t.Errorf("%s: shadow AveBsld %v (1 worker), %v (8 workers); sim.Run %v",
+				p.Name(), got[0][k], got[1][k], res.AVEbsld)
+		}
+	}
 }

@@ -18,20 +18,18 @@ import (
 //
 // The replays fan out over the shared runner pool. Each one is a pure
 // function of (window, policy, config) landing in its own slot, so the
-// result is bit-identical for any worker count.
+// result is bit-identical for any worker count. sim.RunAveBsld builds no
+// Result and reuses pooled engines, so the replays themselves allocate
+// nothing once warm.
 func shadowEval(ctx context.Context, win []workload.Job, cfg Config, policies []sched.Policy) ([]float64, error) {
 	return runner.Map(ctx, cfg.Workers, len(policies), func(_ context.Context, i int) (float64, error) {
-		res, err := sim.Run(sim.Platform{Cores: cfg.Cores}, win, sim.Options{
+		return sim.RunAveBsld(sim.Platform{Cores: cfg.Cores}, win, sim.Options{
 			Policy:        policies[i],
 			UseEstimates:  cfg.UseEstimates,
 			Backfill:      cfg.Backfill,
 			BackfillOrder: cfg.BackfillOrder,
 			Tau:           cfg.Tau,
 		})
-		if err != nil {
-			return 0, err
-		}
-		return res.AVEbsld, nil
 	})
 }
 

@@ -8,7 +8,13 @@
 //
 //   - Batch: every task is registered up front (AddTask + PushArrival) and
 //     RunBatch drains the internal event loop, scheduling completions from
-//     the known execution times. internal/sim wraps this mode.
+//     the known execution times. internal/sim wraps this mode. Arrivals
+//     never enter the event heap: PushArrival appends to a plain slice
+//     that RunBatch sorts by submit time (only when the caller's order is
+//     not already sorted) and consumes through a cursor, so the heap holds
+//     only the running tasks' completions. At each instant completions
+//     apply before arrivals, and arrivals in input order — the
+//     (time, kind, insertion) order a single heap of both would give.
 //   - External completions (Config.ExternalCompletions): arrivals and
 //     completions are applied by the caller (Arrive, CompleteNow) against a
 //     caller-advanced clock (SetNow), and scheduling passes run when the
@@ -22,6 +28,8 @@
 package schedcore
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -137,8 +145,13 @@ type Engine struct {
 	// insert on start, binary remove on completion) so no scheduling pass
 	// ever sorts the running set.
 	running []int
-	events  EventHeap
-	now     float64
+	// events holds the batch-mode completions. Batch arrivals live in
+	// arrivals (task indices, sorted by submit time when RunBatch starts)
+	// and are consumed from index next on.
+	events   EventHeap
+	arrivals []int
+	next     int
+	now      float64
 
 	maxQueueLen int
 	backfilled  int
@@ -181,6 +194,8 @@ func (e *Engine) Reset(cores int, cfg Config) {
 	e.queue = e.queue[:0]
 	e.running = e.running[:0]
 	e.events.Reset()
+	e.arrivals = e.arrivals[:0]
+	e.next = 0
 	e.now = 0
 	e.maxQueueLen = 0
 	e.backfilled = 0
@@ -220,10 +235,18 @@ func (e *Engine) Release(ti int) {
 	e.freeSlots = append(e.freeSlots, ti)
 }
 
-// PushArrival schedules the task's arrival event at its submit time
-// (batch mode).
+// Grow makes room for n more tasks and batch arrivals, so a batch driver
+// that knows its job count registers them without growing either buffer
+// step by step.
+func (e *Engine) Grow(n int) {
+	e.tasks = slices.Grow(e.tasks, n)
+	e.arrivals = slices.Grow(e.arrivals, n)
+}
+
+// PushArrival schedules the task's arrival at its submit time (batch
+// mode). Arrivals at one instant join the queue in push order.
 func (e *Engine) PushArrival(ti int) {
-	e.events.Push(Event{Time: e.tasks[ti].Job.Submit, Kind: KindArrival, Ref: ti})
+	e.arrivals = append(e.arrivals, ti)
 }
 
 // Arrive applies a task arrival at the current clock (external mode): the
@@ -465,23 +488,52 @@ func (e *Engine) completeTask(ti int) {
 	}
 }
 
-// RunBatch executes the batch event loop: drain all events at a
-// timestamp, then hold one scheduling pass (the paper's rescheduling
-// events are exactly task arrivals and resource releases).
+// RunBatch executes the batch event loop: apply every completion and
+// then every arrival at the earliest pending instant, then hold one
+// scheduling pass (the paper's rescheduling events are exactly task
+// arrivals and resource releases).
 func (e *Engine) RunBatch() {
-	for e.events.Len() > 0 {
-		now := e.events.PeekTime()
+	e.sortArrivals()
+	for {
+		// The next instant is the earlier of the next completion and the
+		// next arrival.
+		completing, arriving := e.events.Len() > 0, e.next < len(e.arrivals)
+		var now float64
+		switch {
+		case completing && (!arriving || e.events.PeekTime() <= e.submit(e.next)):
+			now = e.events.PeekTime()
+		case arriving:
+			now = e.submit(e.next)
+		default:
+			return
+		}
 		e.now = now
 		for e.events.Len() > 0 && e.events.PeekTime() == now {
-			ev := e.events.Pop()
-			switch ev.Kind {
-			case KindArrival:
-				e.enqueue(ev.Ref)
-			case KindCompletion:
-				e.completeTask(ev.Ref)
-			}
+			e.completeTask(e.events.Pop().Ref)
+		}
+		for e.next < len(e.arrivals) && e.submit(e.next) == now {
+			e.enqueue(e.arrivals[e.next])
+			e.next++
 		}
 		e.Pass()
+	}
+}
+
+// submit is the submit time of the i-th pending batch arrival.
+func (e *Engine) submit(i int) float64 { return e.tasks[e.arrivals[i]].Job.Submit }
+
+// sortArrivals stable-sorts the unconsumed arrivals by submit time, so
+// equal submits keep push order. Callers almost always push in submit
+// order already; one linear scan spares them the sort.
+func (e *Engine) sortArrivals() {
+	pending := e.arrivals[e.next:]
+	for i := 1; i < len(pending); i++ {
+		if e.tasks[pending[i]].Job.Submit < e.tasks[pending[i-1]].Job.Submit {
+			slices.SortStableFunc(pending, func(a, b int) int {
+				return cmp.Compare(e.tasks[a].Job.Submit, e.tasks[b].Job.Submit)
+			})
+			return
+		}
 	}
 }
 

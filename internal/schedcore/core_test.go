@@ -7,6 +7,7 @@ package schedcore
 // differentials).
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/hpcsched/gensched/internal/sched"
@@ -163,6 +164,28 @@ func TestAddTaskReusesReleasedSlots(t *testing.T) {
 	}
 	if got := e.Task(c).Job.ID; got != 3 {
 		t.Errorf("recycled slot holds job %d, want 3", got)
+	}
+}
+
+// --- state export ----------------------------------------------------------
+
+// TestExportRefusesPendingArrivals: batch arrivals never enter the event
+// heap, so the export guard must count the ones the cursor has not
+// consumed, and only those.
+func TestExportRefusesPendingArrivals(t *testing.T) {
+	e := NewEngine(4, Config{Policy: sched.FCFS(), ExternalCompletions: true})
+	e.PushArrival(e.AddTask(workload.Job{ID: 1, Submit: 3, Runtime: 10, Estimate: 10, Cores: 1}))
+	e.PushArrival(e.AddTask(workload.Job{ID: 2, Submit: 1, Runtime: 10, Estimate: 10, Cores: 1}))
+	var st EngineState
+	if err := e.ExportState(&st); err == nil || !strings.Contains(err.Error(), "2 pending events") {
+		t.Fatalf("export with two pending arrivals: err = %v", err)
+	}
+	e.RunBatch() // consumes both arrivals; external mode schedules no completions
+	if err := e.ExportState(&st); err != nil {
+		t.Fatalf("export after the arrivals were consumed: %v", err)
+	}
+	if len(st.Running) != 2 || st.Now != 3 {
+		t.Errorf("exported running=%v now=%v, want both tasks running at t=3", st.Running, st.Now)
 	}
 }
 

@@ -3,9 +3,9 @@ package schedcore
 // Event is one timestamped scheduling event. Ref identifies the subject
 // (a task index for the engine's own events; drivers may store any
 // handle). Events order by (Time, Kind, insertion sequence), so callers
-// control same-instant ordering through Kind: the engine uses
-// KindCompletion < KindArrival so released cores are visible to the
-// scheduling pass that also sees the new arrivals.
+// control same-instant ordering through Kind: KindCompletion <
+// KindArrival applies released cores before new arrivals, the order the
+// engine's batch loop keeps with its arrival cursor.
 type Event struct {
 	Time float64
 	Kind int
@@ -38,6 +38,13 @@ func (a Event) less(b Event) bool {
 // pushed and popped event into an `any`, which costs two heap allocations
 // per simulated completion — the single largest allocation source in the
 // event loop. The zero value is ready to use.
+//
+// The Engine's batch loop keeps only completions here: its arrivals are
+// all known up front, so they sit in a submit-sorted slice read through a
+// cursor (see RunBatch), and each heap operation pays log(running) rather
+// than log(running + future arrivals). Drivers whose arrivals and
+// completions interleave unpredictably (load generators, the online
+// replay) push both kinds into one heap and rely on the Kind order.
 type EventHeap struct {
 	evs []Event
 	seq int

@@ -34,9 +34,9 @@ type TaskState struct {
 // EngineState is the serializable image of an external-completions Engine:
 // the task table with its free list, the policy-ordered waiting queue and
 // the perceived-finish-ordered running set (both as task indices), the
-// logical clock and the counters. The event heap is not part of the image
-// because external-completions engines never use it — ExportState refuses
-// any engine that does.
+// logical clock and the counters. The event heap and the batch arrivals
+// are not part of the image because external-completions engines never
+// use them — ExportState refuses any engine with either pending.
 type EngineState struct {
 	Free        int
 	Now         float64
@@ -56,8 +56,8 @@ func (e *Engine) ExportState(st *EngineState) error {
 	if !e.cfg.ExternalCompletions {
 		return fmt.Errorf("schedcore: only external-completions engines are exportable")
 	}
-	if e.events.Len() > 0 {
-		return fmt.Errorf("schedcore: engine has %d pending events; not exportable", e.events.Len())
+	if n := e.events.Len() + len(e.arrivals) - e.next; n > 0 {
+		return fmt.Errorf("schedcore: engine has %d pending events; not exportable", n)
 	}
 	st.Free = e.free
 	st.Now = e.now

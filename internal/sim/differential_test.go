@@ -10,6 +10,8 @@ package sim_test
 // engine run, so the online checker is exercised on the same corpus.
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"github.com/hpcsched/gensched/internal/dist"
@@ -17,6 +19,7 @@ import (
 	"github.com/hpcsched/gensched/internal/sim"
 	"github.com/hpcsched/gensched/internal/simref"
 	"github.com/hpcsched/gensched/internal/simtest"
+	"github.com/hpcsched/gensched/internal/workload"
 )
 
 func TestDifferentialOracle(t *testing.T) {
@@ -73,6 +76,72 @@ func TestDifferentialOracleFixedOrder(t *testing.T) {
 				t.Fatalf("workload %d: %v", wi, err)
 			}
 		}
+	}
+}
+
+// TestDifferentialOracleShuffled hands the engine its jobs out of submit
+// order (simtest.ShuffledJobs), so the engine sorts its arrivals before
+// the event loop. The oracle scans its tasks in input order and needs no
+// sort. Each schedule must match the oracle and, job by job, the schedule
+// of the same jobs in submit order: (score, submit, ID) orders the queue
+// totally, so input order must not change any decision. The corpus must
+// also really contain equal submits and arrivals exactly on a completion
+// instant.
+func TestDifferentialOracleShuffled(t *testing.T) {
+	workloads := 200
+	if testing.Short() {
+		workloads = 30
+	}
+	policies := []sched.Policy{sched.FCFS(), sched.SPT(), sched.F2(), sched.WFP3()}
+	root := dist.New(20261017)
+	var bursts, onCompletion int
+	for wi := 0; wi < workloads; wi++ {
+		rng := root.Split(uint64(wi))
+		n := 20 + rng.IntN(41)
+		cores := 4 + rng.IntN(13)
+		jobs := simtest.ShuffledJobs(rng, n, cores)
+		sorted := slices.Clone(jobs)
+		slices.SortStableFunc(sorted, func(a, b workload.Job) int { return cmp.Compare(a.Submit, b.Submit) })
+		policy := policies[wi%len(policies)]
+		for _, mode := range simtest.Modes {
+			for _, est := range []bool{false, true} {
+				opt := sim.Options{Policy: policy, Backfill: mode, UseEstimates: est, KillAtEstimate: wi%5 == 0}
+				if err := simtest.Differential(cores, jobs, opt); err != nil {
+					t.Fatalf("workload %d (%s, n=%d, cores=%d): %v", wi, policy.Name(), n, cores, err)
+				}
+				got, err := sim.Run(sim.Platform{Cores: cores}, jobs, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sim.Run(sim.Platform{Cores: cores}, sorted, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byID := make(map[int]sim.JobStats, n)
+				finishes := make(map[float64]bool, n)
+				for _, s := range want.Stats {
+					byID[s.Job.ID] = s
+					finishes[s.Finish] = true
+				}
+				for _, s := range got.Stats {
+					if w := byID[s.Job.ID]; s.Start != w.Start || s.Finish != w.Finish || s.Backfilled != w.Backfilled {
+						t.Fatalf("workload %d (%s, %s, est=%v): job %d placed at %v..%v shuffled, %v..%v sorted",
+							wi, policy.Name(), mode, est, s.Job.ID, s.Start, s.Finish, w.Start, w.Finish)
+					}
+				}
+				for i := range sorted {
+					if i > 0 && sorted[i].Submit == sorted[i-1].Submit {
+						bursts++
+					}
+					if finishes[sorted[i].Submit] {
+						onCompletion++
+					}
+				}
+			}
+		}
+	}
+	if bursts == 0 || onCompletion == 0 {
+		t.Fatalf("corpus lacks the edge cases: %d equal submits, %d arrivals on a completion instant", bursts, onCompletion)
 	}
 }
 

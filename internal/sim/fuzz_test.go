@@ -15,7 +15,10 @@ const fuzzCores = 16
 // jobsFromBytes decodes a fuzz input into a bounded job list: five bytes
 // per job (inter-arrival gap, runtime, estimate skew, cores, flags).
 // Underestimates, zero gaps (simultaneous arrivals) and duplicate
-// runtimes all arise naturally from the byte ranges.
+// runtimes all arise naturally from the byte ranges. Flag bit 0 swaps the
+// job with an earlier one (the rest of the flag byte picks which), so the
+// list also arrives out of submit order and the engine has to sort its
+// arrivals.
 func jobsFromBytes(data []byte) []workload.Job {
 	const maxJobs = 48
 	n := len(data) / 5
@@ -42,6 +45,10 @@ func jobsFromBytes(data []byte) []workload.Job {
 			Estimate: est,
 			Cores:    cores,
 		})
+		if flags := b[4]; flags&1 != 0 {
+			k := int(flags>>1) % (i + 1)
+			jobs[i], jobs[k] = jobs[k], jobs[i]
+		}
 	}
 	return jobs
 }
@@ -55,9 +62,12 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 10, 128, 3, 0, 0, 10, 128, 3, 0})                   // identical twins at t=0
 	f.Add([]byte{5, 200, 10, 15, 0, 0, 3, 255, 0, 0, 1, 50, 128, 7, 0}) // under/overestimates
 	f.Add([]byte{0, 255, 1, 15, 0, 0, 1, 255, 15, 0, 0, 1, 1, 0, 0})    // full-machine + tiny
+	// Out of submit order: the third job swaps to the front, the fourth
+	// (a burst twin of the third) into second place.
+	f.Add([]byte{9, 20, 128, 8, 0, 0, 30, 128, 4, 0, 4, 5, 128, 8, 1, 0, 9, 128, 2, 3})
 	seed := make([]byte, 48*5)
 	for i := range seed {
-		seed[i] = byte(i * 37)
+		seed[i] = byte(i * 37) // flag bytes 37·(5k+4): odd k permutes
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -130,16 +130,8 @@ type Platform struct {
 // per-job statistics and aggregate metrics. Jobs may be in any order; they
 // are released at their submit times. Run never mutates jobs.
 func Run(p Platform, jobs []workload.Job, opt Options) (*Result, error) {
-	if opt.Policy == nil {
-		return nil, ErrNoPolicy
-	}
-	if p.Cores <= 0 {
-		return nil, ErrNoCores
-	}
-	for i := range jobs {
-		if err := jobs[i].Validate(p.Cores); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+	if err := validate(p, jobs, opt); err != nil {
+		return nil, err
 	}
 	e := newCore(p, jobs, opt)
 	e.RunBatch()
@@ -150,6 +142,22 @@ func Run(p Platform, jobs []workload.Job, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// validate rejects a run Run could not simulate.
+func validate(p Platform, jobs []workload.Job, opt Options) error {
+	if opt.Policy == nil {
+		return ErrNoPolicy
+	}
+	if p.Cores <= 0 {
+		return ErrNoCores
+	}
+	for i := range jobs {
+		if err := jobs[i].Validate(p.Cores); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	return nil
 }
 
 // AveBsld computes the average bounded slowdown over the stats for which

@@ -68,6 +68,17 @@ func IntegerJobs(rng *dist.RNG, n, maxCores int) []workload.Job {
 	return jobs
 }
 
+// ShuffledJobs is IntegerJobs handed over out of submit order. The engine
+// must sort its arrivals by submit time, keeping input order among equal
+// submits. Bursts give equal submits, and on the integer grid many
+// arrivals land exactly on a completion instant, where the arrival must
+// join the scheduling pass that sees the released cores.
+func ShuffledJobs(rng *dist.RNG, n, maxCores int) []workload.Job {
+	jobs := IntegerJobs(rng, n, maxCores)
+	rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	return jobs
+}
+
 // SwitchPolicy builds the batch-engine reference for a mid-stream policy
 // hot-swap: a time-varying policy that ranks with `before` at scheduling
 // passes strictly earlier than `at` and with `after` from `at` on. Both

@@ -291,10 +291,10 @@ func (st *trialState) prepare(tr *trialRunner, q int) {
 // schedule and the returned AVEbsld are bit-identical to running the
 // trial through sim.Run with a sched.FixedOrder policy — the pooled
 // engine re-establishes every decision input from scratch, and the
-// bounded-slowdown sum visits the Q tasks in the same input order
-// sim.AveBsld walked the job statistics. (Job IDs are unique, enforced
-// by newTrialRunner, so "the Q tasks" is the same set under either the
-// old ID-keyed filter or the index range used here.)
+// bounded-slowdown sum (sim.MeanBsld) visits the Q tasks in the same
+// input order sim.AveBsld walks the job statistics. (Job IDs are
+// unique, enforced by newTrialRunner, so "the Q tasks" is the same set
+// under either the old ID-keyed filter or the index range used here.)
 func (tr *trialRunner) run(st *trialState, k, q int, seed uint64) float64 {
 	// Reseeding the pooled generator reproduces newTrialRNG's stream
 	// without the per-trial allocation.
@@ -329,6 +329,7 @@ func (tr *trialRunner) run(st *trialState, k, q int, seed uint64) float64 {
 		st.eng.Reset(tr.tuple.Cores, cfg)
 	}
 	eng := st.eng
+	eng.Grow(len(tr.jobs))
 	for i := range tr.jobs {
 		eng.PushArrival(eng.AddTask(tr.jobs[i]))
 	}
@@ -336,10 +337,5 @@ func (tr *trialRunner) run(st *trialState, k, q int, seed uint64) float64 {
 
 	// Eq. 2 over the Q tasks (task index i is input index i, so the Q
 	// tasks are exactly indices qStart..len(jobs)-1, in input order).
-	var sum float64
-	for i := tr.qStart; i < len(tr.jobs); i++ {
-		t := eng.Task(i)
-		sum += sim.Bsld(t.Start-t.Job.Submit, t.Job.Runtime, tr.tau)
-	}
-	return sum / float64(q)
+	return sim.MeanBsld(eng, tr.qStart, len(tr.jobs), tr.tau)
 }
