@@ -1,7 +1,8 @@
 // Command genschedvet runs gensched's determinism-and-discipline
-// analyzer suite (detlint, maporder, errlint, seedlint) over the
-// module's packages and reports every contract violation as
-// file:line:col diagnostics. It is pure stdlib, walks and type-checks
+// analyzer suite (detlint, maporder, errlint, seedlint, deadlint) over
+// the module's packages and reports every contract violation as
+// file:line:col diagnostics. The whole module is loaded whatever the
+// patterns, so deadlint counts references from every package. It is pure stdlib, walks and type-checks
 // packages itself, and is wired into CI as a hard gate:
 //
 //	go run ./cmd/genschedvet ./...          # human-readable

@@ -10,8 +10,12 @@
 // Usage:
 //
 //	paperrepro -out out/              # reduced scale (minutes)
-//	paperrepro -full -out out/        # paper scale (expect hours)
+//	paperrepro -full -out out/        # paper scale (minutes, see below)
 //	paperrepro -only scenarios,table3 # a subset of experiments
+//
+// Paper scale costs minutes, not hours: on a 2-vCPU machine,
+// -full -only table3 (262 144 trials × 64 tuples) took 1 m 45 s wall
+// (3 m 28 s CPU) and -full -only table4 took 3 s.
 package main
 
 import (

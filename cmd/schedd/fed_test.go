@@ -316,7 +316,7 @@ func (bc *binConn) roundTrip(payload []byte) (float64, []online.Start, error) {
 
 func (bc *binConn) record(rec *durable.Record) (float64, []online.Start, error) {
 	bc.t.Helper()
-	payload, err := fed.AppendRecordMsg(nil, rec)
+	payload, err := durable.AppendRecord([]byte{fed.MsgRecord}, rec)
 	if err != nil {
 		bc.t.Fatal(err)
 	}

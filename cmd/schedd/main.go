@@ -40,9 +40,10 @@
 // and /v1/trace merge the shards deterministically ((clock, shard, seq)
 // order); /v1/adapt runs one retraining loop per shard. With -data-dir
 // each shard journals to <data-dir>/shard-NNNN/ and recovers
-// independently on boot (a pre-federation flat layout is adopted as
-// shard 0); a shard whose store fails is quarantined — its mutations
-// return 503 + Retry-After while healthy shards keep serving.
+// independently on boot (a pre-federation flat layout, journal files at
+// the top of the data dir, is refused); a shard whose store fails is
+// quarantined — its mutations return 503 + Retry-After while healthy
+// shards keep serving.
 //
 // With -binary-addr the same mutations are additionally served over a
 // compact length-prefixed binary protocol (see internal/fed: wire.go)

@@ -258,19 +258,11 @@ func New(cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// SetTelemetry attaches (or, with nil, detaches) a telemetry sink; see
-// Config.Telemetry. A daemon that enables telemetry after recovery
-// replay uses this to instrument a controller rebuilt from the journal.
-func (c *Controller) SetTelemetry(t *telemetry.Sink) { c.cfg.Telemetry = t }
-
 // Observe records one observed job arrival into the sliding window. In
 // this reproduction the job carries its runtime, so observation at
 // arrival is exact; a production deployment would observe at completion
 // instead, once the runtime is known, with no other change to the loop.
 func (c *Controller) Observe(j workload.Job) { c.win.add(j) }
-
-// Due reports whether an adaptation round would run at the given clock.
-func (c *Controller) Due(now float64) bool { return now >= c.nextCheck }
 
 // Tick runs at most one adaptation round: if the clock has not reached
 // the next scheduled round, it returns (nil, nil); otherwise it evaluates

@@ -39,10 +39,10 @@ func TestGoldenTraceAcrossWorkers(t *testing.T) {
 		sink := telemetry.NewSink(1 << 16)
 		driveLoop(t, jobs, stale(t), tracedCfg(workers), sink)
 		var jsonl, chrome bytes.Buffer
-		if err := sink.Trace.WriteJSONL(&jsonl, 0, 0); err != nil {
+		if err := telemetry.WriteEventsJSONL(&jsonl, sink.Trace.Events(0, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.Trace.WriteChromeTrace(&chrome, 0, 0); err != nil {
+		if err := telemetry.WriteEventsChrome(&chrome, sink.Trace.Events(0, 0)); err != nil {
 			t.Fatal(err)
 		}
 		return sink, jsonl.Bytes(), chrome.Bytes()

@@ -54,7 +54,7 @@ type Analyzer struct {
 
 // All returns the full suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{DetLint, MapOrder, ErrLint, SeedLint}
+	return []*Analyzer{DetLint, MapOrder, ErrLint, SeedLint, DeadLint}
 }
 
 // Pass carries one type-checked package through one analyzer. Analyzers
@@ -74,6 +74,10 @@ type Pass struct {
 
 	// Zone is the resolved discipline zone for RelPath (see zones.go).
 	Zone Zone
+
+	// Refs indexes what the module's non-test files reference; deadlint
+	// reads it.
+	Refs *Refs
 
 	directives map[string][]directive // file name -> sorted by line
 	report     func(Diagnostic)
@@ -195,6 +199,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Info:       pkg.Info,
 				RelPath:    pkg.RelPath,
 				Zone:       pkg.Zone,
+				Refs:       pkg.Refs,
 				directives: directives,
 				report:     func(d Diagnostic) { diags = append(diags, d) },
 			}

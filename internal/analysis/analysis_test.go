@@ -29,6 +29,7 @@ var fixtureCases = []struct {
 	{"maporder", MapOrder, "internal/fixture"},
 	{"errlint", ErrLint, "cmd/fixture"},
 	{"seedlint", SeedLint, "internal/fixture"},
+	{"deadlint", DeadLint, "internal/fixture"},
 }
 
 func TestFixtures(t *testing.T) {
@@ -70,10 +71,11 @@ func loadFixture(t *testing.T, dir, zone string) *Package {
 		}
 		files = append(files, f)
 	}
-	pkg, err := Check(fset, fixtureImp, dir, zone, files)
+	pkg, err := Check(fset, fixtureImp, dir, dir, zone, files)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkg.Refs = NewRefs([]*Package{pkg})
 	return pkg
 }
 
@@ -148,6 +150,12 @@ func TestZoneGating(t *testing.T) {
 	if diags := Run([]*Package{errf}, []*Analyzer{ErrLint}); len(diags) > 0 {
 		t.Errorf("errlint outside cmd/ drew %d diagnostics, want 0; first: %s", len(diags), diags[0])
 	}
+	for _, zone := range []string{"internal/simtest", "cmd/fixture", ""} {
+		dead := loadFixture(t, filepath.Join("testdata", "src", "deadlint"), zone)
+		if diags := Run([]*Package{dead}, []*Analyzer{DeadLint}); len(diags) > 0 {
+			t.Errorf("deadlint in %q drew %d diagnostics, want 0; first: %s", zone, len(diags), diags[0])
+		}
+	}
 }
 
 func TestZoneOf(t *testing.T) {
@@ -156,27 +164,30 @@ func TestZoneOf(t *testing.T) {
 		det  bool
 		cmd  bool
 		goOK bool
+		dead bool
 	}{
-		{"", true, false, false},
-		{"internal/schedcore", true, false, false},
-		{"internal/online", true, false, false},
-		{"internal/dist", true, false, false},
-		{"internal/adaptive", true, false, false},
-		{"internal/runner", true, false, true},
-		{"internal/durable", true, true, false},
-		{"internal/faultfs", true, true, false},
-		{"internal/telemetry", true, true, false},
-		{"internal/profiling", false, false, false},
-		{"internal/analysis", false, false, false},
-		{"cmd/schedd", false, true, false},
-		{"cmd/genschedvet", false, true, false},
-		{"examples/quickstart", false, true, false},
+		{"", true, false, false, false},
+		{"internal/schedcore", true, false, false, true},
+		{"internal/online", true, false, false, true},
+		{"internal/dist", true, false, false, true},
+		{"internal/adaptive", true, false, false, true},
+		{"internal/runner", true, false, true, true},
+		{"internal/durable", true, true, false, true},
+		{"internal/faultfs", true, true, false, false},
+		{"internal/simref", true, false, false, false},
+		{"internal/simtest", true, false, false, false},
+		{"internal/telemetry", true, true, false, true},
+		{"internal/profiling", false, false, false, true},
+		{"internal/analysis", false, false, false, true},
+		{"cmd/schedd", false, true, false, false},
+		{"cmd/genschedvet", false, true, false, false},
+		{"examples/quickstart", false, true, false, false},
 	}
 	for _, c := range cases {
 		z := ZoneOf(c.rel)
-		if z.Deterministic() != c.det || z.Cmd() != c.cmd || z.GoroutineBlessed() != c.goOK {
-			t.Errorf("ZoneOf(%q) = det %v, cmd %v, goroutines %v; want %v, %v, %v",
-				c.rel, z.Deterministic(), z.Cmd(), z.GoroutineBlessed(), c.det, c.cmd, c.goOK)
+		if z.Deterministic() != c.det || z.Cmd() != c.cmd || z.GoroutineBlessed() != c.goOK || z.DeadChecked() != c.dead {
+			t.Errorf("ZoneOf(%q) = det %v, cmd %v, goroutines %v, dead %v; want %v, %v, %v, %v",
+				c.rel, z.Deterministic(), z.Cmd(), z.GoroutineBlessed(), z.DeadChecked(), c.det, c.cmd, c.goOK, c.dead)
 		}
 	}
 }
@@ -197,5 +208,37 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestDeadLintCountsModuleWide pins that deadlint judges a package
+// against references from the whole module, not just the packages asked
+// for: internal/sim's exported API is called from other packages only,
+// so checking it alone must stay silent.
+func TestDeadLintCountsModuleWide(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type-check is slow; the non-short run covers it")
+	}
+	pkgs, err := Load(".", []string{"./internal/sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].RelPath != "internal/sim" {
+		t.Fatalf("loaded %d packages for one pattern", len(pkgs))
+	}
+	for _, d := range Run(pkgs, []*Analyzer{DeadLint}) {
+		t.Errorf("%s", d)
+	}
+	// The index the package was judged against must be module-wide:
+	// without it, sim.RunAveBsld — called only from other packages — is
+	// dead.
+	local := *pkgs[0]
+	local.Refs = NewRefs([]*Package{&local})
+	var sawRun bool
+	for _, d := range Run([]*Package{&local}, []*Analyzer{DeadLint}) {
+		sawRun = sawRun || strings.Contains(d.Message, "func RunAveBsld ")
+	}
+	if !sawRun {
+		t.Error("judged against its own references only, internal/sim still kept sim.RunAveBsld alive; the module-wide check proves nothing")
 	}
 }

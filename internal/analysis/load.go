@@ -23,6 +23,7 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+	Refs    *Refs // module-wide reference index, shared by every package Load returns
 }
 
 // ModuleRoot walks upward from dir to the directory holding go.mod.
@@ -51,8 +52,16 @@ func ModuleRoot(dir string) (string, error) {
 // starts with "." or "_", are skipped — exactly the dirs the go tool
 // ignores, which is what keeps the seeded-violation fixtures under
 // internal/analysis/testdata out of the repo-wide run.
+//
+// Every package of the module is loaded whatever the patterns, so that
+// the reference index deadlint judges against is module-wide; only the
+// packages the patterns match are returned.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	root, err := ModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
@@ -60,23 +69,55 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	all, err := expand(root, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	want := map[string]bool{}
+	for _, d := range dirs {
+		want[d] = true
+	}
 	fset := token.NewFileSet()
 	// One source importer shared across every target package: it
 	// type-checks dependencies from source and caches them, so the
 	// module's internal packages are checked once, not once per
 	// importer.
 	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, d := range dirs {
-		pkg, err := loadDir(fset, imp, root, d)
+	var pkgs, module []*Package
+	for _, d := range all {
+		pkg, err := loadDir(fset, imp, root, modPath, d)
 		if err != nil {
+			// Even a package the patterns did not ask for: its lost
+			// references would turn into false deadlint findings.
 			return nil, err
 		}
-		if pkg != nil {
+		if pkg == nil {
+			continue
+		}
+		module = append(module, pkg)
+		if want[d] {
 			pkgs = append(pkgs, pkg)
 		}
 	}
+	refs := NewRefs(module)
+	for _, pkg := range pkgs {
+		pkg.Refs = refs
+	}
 	return pkgs, nil
+}
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+		}
+	}
+	return "", fmt.Errorf("%s/go.mod declares no module path", root)
 }
 
 // expand turns patterns into a sorted list of absolute package dirs.
@@ -126,7 +167,7 @@ func expand(root string, patterns []string) ([]string, error) {
 
 // loadDir parses and type-checks one directory; returns (nil, nil) if
 // it holds no non-test Go files.
-func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Package, error) {
+func loadDir(fset *token.FileSet, imp types.Importer, root, modPath, dir string) (*Package, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		if _, noGo := err.(*build.NoGoError); noGo {
@@ -150,13 +191,18 @@ func loadDir(fset *token.FileSet, imp types.Importer, root, dir string) (*Packag
 		rel = ""
 	}
 	rel = filepath.ToSlash(rel)
-	return Check(fset, imp, dir, rel, files)
+	path := modPath
+	if rel != "" {
+		path += "/" + rel
+	}
+	return Check(fset, imp, dir, path, rel, files)
 }
 
-// Check type-checks the parsed files as one package rooted at rel and
-// wraps them as a Package. Split out of loadDir so the fixture harness
-// can load testdata packages under an assumed zone path.
-func Check(fset *token.FileSet, imp types.Importer, dir, rel string, files []*ast.File) (*Package, error) {
+// Check type-checks the parsed files as one package with import path
+// path, rooted at rel, and wraps them as a Package. Split out of
+// loadDir so the fixture harness can load testdata packages under an
+// assumed zone path.
+func Check(fset *token.FileSet, imp types.Importer, dir, path, rel string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -170,7 +216,7 @@ func Check(fset *token.FileSet, imp types.Importer, dir, rel string, files []*as
 			typeErrs = append(typeErrs, err.Error())
 		},
 	}
-	tpkg, _ := conf.Check(dir, fset, files, info)
+	tpkg, _ := conf.Check(path, fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s:\n  %s", dir, strings.Join(typeErrs, "\n  "))
 	}

@@ -26,6 +26,11 @@ const (
 	// carrying the same determinism contract — index-addressed results,
 	// lowest-index error — which is what makes fan-out safe.
 	ZoneGoroutineBlessed
+
+	// ZoneDeadChecked marks the packages deadlint sweeps: all of
+	// internal/ except the test-support packages below, which exist for
+	// tests to call.
+	ZoneDeadChecked
 )
 
 // Deterministic reports whether detlint/maporder/seedlint apply.
@@ -37,6 +42,17 @@ func (z Zone) Cmd() bool { return z&ZoneCmd != 0 }
 // GoroutineBlessed reports whether the package may spawn goroutines
 // despite being deterministic.
 func (z Zone) GoroutineBlessed() bool { return z&ZoneGoroutineBlessed != 0 }
+
+// DeadChecked reports whether deadlint applies.
+func (z Zone) DeadChecked() bool { return z&ZoneDeadChecked != 0 }
+
+// testSupport lists internal packages whose callers are tests by
+// design, with the reason; deadlint skips them.
+var testSupport = map[string]string{
+	"internal/simref":  "slow reference engine and schedule auditors the differential tests compare against",
+	"internal/simtest": "adversarial workload generators and the differential harness",
+	"internal/faultfs": "fault-injecting filesystem the durable and crash suites run the store on",
+}
 
 // deterministicExempt lists internal packages outside the determinism
 // boundary, with the reason. Everything else under internal/ — the
@@ -66,6 +82,9 @@ func ZoneOf(rel string) Zone {
 	case rel == "internal" || strings.HasPrefix(rel, "internal/"):
 		if _, exempt := deterministicExempt[rel]; !exempt {
 			z |= ZoneDeterministic
+		}
+		if _, support := testSupport[rel]; !support {
+			z |= ZoneDeadChecked
 		}
 	case rel == "cmd" || strings.HasPrefix(rel, "cmd/"),
 		rel == "examples" || strings.HasPrefix(rel, "examples/"):

@@ -66,6 +66,8 @@ func (r *RNG) Seed() uint64 { return r.seed }
 // Split returns a fresh generator for the given stream index, derived
 // from the seed this generator was created with. Independent of how many
 // values have been drawn from r.
+//
+//gensched:allow deadlint the differential suites derive each workload's generator with it
 func (r *RNG) Split(stream uint64) *RNG { return New(Split(r.seed, stream)) }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -118,12 +120,6 @@ func (r *RNG) IntN(n int) int {
 	return int(r.UintN(uint64(n)))
 }
 
-// ExpRand returns a draw from the exponential distribution with mean 1
-// (rate 1); scale by the desired mean.
-func (r *RNG) ExpRand() float64 {
-	return -math.Log(r.Open01())
-}
-
 // NormRand returns a draw from the standard normal distribution
 // (Box–Muller; two uniforms per draw, no cached state, so interleaving
 // with other draws stays reproducible).
@@ -131,16 +127,6 @@ func (r *RNG) NormRand() float64 {
 	u := r.Open01()
 	v := r.Float64()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle performs a Fisher–Yates shuffle of n elements through swap.

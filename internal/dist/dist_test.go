@@ -117,28 +117,6 @@ func TestIntNPanics(t *testing.T) {
 	New(1).IntN(0)
 }
 
-func TestExpRandMoments(t *testing.T) {
-	r := New(4)
-	const n = 200_000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.ExpRand()
-		if v < 0 {
-			t.Fatalf("ExpRand = %v", v)
-		}
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("ExpRand mean = %v, want 1", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("ExpRand variance = %v, want 1", variance)
-	}
-}
-
 func TestNormRandMoments(t *testing.T) {
 	r := New(5)
 	const n = 200_000
@@ -158,23 +136,27 @@ func TestNormRandMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	p := r.Perm(100)
-	if len(p) != 100 {
-		t.Fatalf("Perm length %d", len(p))
+func TestShuffleIsPermutation(t *testing.T) {
+	perm := func(seed uint64) []int {
+		p := make([]int, 100)
+		for i := range p {
+			p[i] = i
+		}
+		New(seed).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		return p
 	}
+	p := perm(6)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm not a permutation at %d", v)
+			t.Fatalf("Shuffle not a permutation at %d", v)
 		}
 		seen[v] = true
 	}
-	q := New(6).Perm(100)
+	q := perm(6)
 	for i := range p {
 		if p[i] != q[i] {
-			t.Fatal("Perm not deterministic")
+			t.Fatal("Shuffle not deterministic")
 		}
 	}
 }

@@ -43,6 +43,8 @@ type HyperGamma struct {
 }
 
 // Mean returns the mixture mean P·A1·B1 + (1-P)·A2·B2.
+//
+//gensched:allow deadlint analytic reference the moment tests compare sample means against
 func (h HyperGamma) Mean() float64 {
 	return h.P*h.A1*h.B1 + (1-h.P)*h.A2*h.B2
 }
@@ -70,6 +72,8 @@ func (t TwoStageUniform) Valid() bool {
 }
 
 // Mean returns Prob·(Low+Med)/2 + (1-Prob)·(Med+High)/2.
+//
+//gensched:allow deadlint analytic reference the moment tests compare sample means against
 func (t TwoStageUniform) Mean() float64 {
 	return t.Prob*(t.Low+t.Med)/2 + (1-t.Prob)*(t.Med+t.High)/2
 }

@@ -350,10 +350,9 @@ type Snapshot struct {
 	PolicyExpr string
 	Sched      online.SchedulerState
 	Adapt      *AdaptState
-	// Fed is nil for a single-engine snapshot — in which case the
-	// encoding is bit-for-bit the pre-federation format — and set for a
-	// federated shard's snapshot, as a trailing section.
-	Fed *FedState
+	// Fed places the snapshot in its federation. Every snapshot carries
+	// it; the decoder refuses one without.
+	Fed FedState
 }
 
 // EncodeSnapshot renders the snapshot payload (no framing). The encoding
@@ -372,16 +371,12 @@ func EncodeSnapshot(snap *Snapshot) []byte {
 		b = appendAdaptConfig(b, &snap.Adapt.Config)
 		b = appendControllerState(b, &snap.Adapt.State)
 	}
-	// The fed section is strictly trailing and written only when present,
-	// so single-engine snapshots keep the pre-federation byte format.
-	if snap.Fed != nil {
-		b = appendBool(b, true)
-		b = appendInt(b, snap.Fed.Shard)
-		b = appendInt(b, snap.Fed.Shards)
-		b = appendU64(b, snap.Fed.Seed)
-		b = appendInt(b, snap.Fed.StolenOnto)
-		b = appendF64(b, snap.Fed.VT)
-	}
+	b = appendBool(b, true) // the fed tag's flag byte, always set
+	b = appendInt(b, snap.Fed.Shard)
+	b = appendInt(b, snap.Fed.Shards)
+	b = appendU64(b, snap.Fed.Seed)
+	b = appendInt(b, snap.Fed.StolenOnto)
+	b = appendF64(b, snap.Fed.VT)
 	return b
 }
 
@@ -399,18 +394,15 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		snap.Adapt.Config = decodeAdaptConfig(d)
 		decodeControllerState(d, &snap.Adapt.State)
 	}
-	// Bytes past the adapt section are the optional fed block; its
-	// absence (the pre-federation format) leaves Fed nil.
-	if d.err == nil && len(d.b) > 0 {
-		if d.bool("snapshot fed flag") {
-			snap.Fed = &FedState{}
-			snap.Fed.Shard = d.int("snapshot fed shard")
-			snap.Fed.Shards = d.int("snapshot fed shards")
-			snap.Fed.Seed = d.u64("snapshot fed seed")
-			snap.Fed.StolenOnto = d.int("snapshot fed stolen")
-			snap.Fed.VT = d.f64("snapshot fed vt")
-		}
+	if d.err == nil && (len(d.b) == 0 || d.b[0] == 0) {
+		return nil, fmt.Errorf("durable: snapshot carries no federation tag (a single-engine snapshot from before per-shard stores)")
 	}
+	d.bool("snapshot fed flag")
+	snap.Fed.Shard = d.int("snapshot fed shard")
+	snap.Fed.Shards = d.int("snapshot fed shards")
+	snap.Fed.Seed = d.u64("snapshot fed seed")
+	snap.Fed.StolenOnto = d.int("snapshot fed stolen")
+	snap.Fed.VT = d.f64("snapshot fed vt")
 	if err := d.finish("snapshot"); err != nil {
 		return nil, err
 	}

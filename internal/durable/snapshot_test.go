@@ -2,7 +2,12 @@ package durable
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/hpcsched/gensched/internal/adaptive"
@@ -64,6 +69,20 @@ func runSnapshotTrip(t *testing.T, seed uint64, n int, mode sim.BackfillMode, wi
 		}
 	}
 
+	drive(t, jobs, s, ad, func(events int, last bool) bool {
+		if events%17 == 0 || last {
+			checkTrip(t, events, cores, init, opt, s, ad, &ac)
+		}
+		return true
+	})
+}
+
+// drive replays jobs through s (ticking ad, when set, after every
+// event) and calls each after every event with the running event count
+// and whether the event heap is empty; each returning false stops the
+// replay.
+func drive(t *testing.T, jobs []workload.Job, s *online.Scheduler, ad *adaptive.Controller, each func(events int, last bool) bool) {
+	t.Helper()
 	var h schedcore.EventHeap
 	for i := range jobs {
 		h.Push(schedcore.Event{Time: jobs[i].Submit, Kind: schedcore.KindArrival, Ref: i})
@@ -72,6 +91,7 @@ func runSnapshotTrip(t *testing.T, seed uint64, n int, mode sim.BackfillMode, wi
 	for h.Len() > 0 {
 		ev := h.Pop()
 		var starts []online.Start
+		var err error
 		switch ev.Kind {
 		case schedcore.KindArrival:
 			starts, err = s.SubmitAt(ev.Time, jobs[ev.Ref])
@@ -99,8 +119,85 @@ func runSnapshotTrip(t *testing.T, seed uint64, n int, mode sim.BackfillMode, wi
 			h.Push(schedcore.Event{Time: st.Time + jobs[i].Runtime, Kind: schedcore.KindCompletion, Ref: i})
 		}
 		events++
-		if events%17 == 0 || h.Len() == 0 {
-			checkTrip(t, events, cores, init, opt, s, ad, &ac)
+		if !each(events, h.Len() == 0) {
+			return
+		}
+	}
+}
+
+// goldenSnapshot is a fully populated shard snapshot: a conservative
+// backfilling scheduler stopped mid-stream with running and queued
+// jobs, the adaptive loop attached, a custom policy descriptor and a
+// federation tag.
+func goldenSnapshot(t *testing.T) *Snapshot {
+	t.Helper()
+	const cores = 16
+	mode := sim.BackfillConservative
+	opt := online.Options{Policy: sched.F1(), UseEstimates: true, Backfill: mode, Tau: 10}
+	s, err := online.New(cores, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := AdaptConfig{Window: 32, MinWindow: 4, Interval: 60, MinDrift: 0.05, SSize: 4, QSize: 6,
+		Tuples: 1, Trials: 2, TopK: 1, Margin: 0.1, Cooldown: 30, Workers: 1, Seed: 11}
+	ad, err := adaptive.New(adaptCfg(&ac, cores, 0, opt, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, simtest.RandomJobs(dist.New(5), 40, cores), s, ad, func(events int, _ bool) bool {
+		return events < 45
+	})
+	snap := &Snapshot{
+		Seq:        45,
+		Init:       InitState{Cores: cores, Backfill: int(mode), UseEstimates: true, Tau: 10, PolicyName: "F1"},
+		PolicyName: "CUSTOM",
+		PolicyExpr: "log10(r)*n + 870*log10(s)",
+		Adapt:      &AdaptState{Config: ac, State: *ad.ExportState()},
+		Fed:        FedState{Shard: 3, Shards: 8, Seed: 42, StolenOnto: 17, VT: 12345.5},
+	}
+	if err := s.ExportState(&snap.Sched); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Sched.Active) == 0 {
+		t.Fatal("golden snapshot has no running jobs")
+	}
+	return snap
+}
+
+// TestSnapshotGoldenBytes pins the encoding of a fully populated tagged
+// snapshot: a shard checkpoint written by an earlier build must decode,
+// and re-encode, to exactly the same bytes. The same bytes without the
+// federation tag (a single-engine snapshot from before per-shard
+// stores), or with a zero tag flag, must be refused.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_tagged.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := EncodeSnapshot(goldenSnapshot(t))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("golden snapshot encodes to %d bytes, golden has %d (first difference at %d)",
+			len(got), len(want), firstDiff(got, want))
+	}
+	dec, err := DecodeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := EncodeSnapshot(dec); !bytes.Equal(again, want) {
+		t.Fatalf("golden snapshot does not re-encode to itself (first difference at %d)", firstDiff(again, want))
+	}
+
+	const tagLen = 1 + 5*8 // flag byte, shard, shards, seed, stolen, vt
+	untagged := want[:len(want)-tagLen]
+	zeroFlag := append(append([]byte(nil), untagged...), 0)
+	zeroTag := append(append([]byte(nil), untagged...), make([]byte, tagLen)...)
+	for _, payload := range [][]byte{untagged, zeroFlag, zeroTag} {
+		if _, err := DecodeSnapshot(payload); err == nil || !strings.Contains(err.Error(), "no federation tag") {
+			t.Errorf("%d-byte untagged payload: DecodeSnapshot = %v, want a missing-federation-tag error", len(payload), err)
 		}
 	}
 }
@@ -120,10 +217,12 @@ func adaptCfg(ac *AdaptConfig, cores int, now float64, opt online.Options, s *on
 
 // checkTrip snapshots the live state, round-trips it through the codec
 // and a full restore, and requires the second-generation snapshot to be
-// byte-identical.
+// byte-identical. The federated crash suite's byte oracle rides on
+// this.
 func checkTrip(t *testing.T, at, cores int, init InitState, opt online.Options, s *online.Scheduler, ad *adaptive.Controller, ac *AdaptConfig) {
 	t.Helper()
-	snap := &Snapshot{Seq: uint64(at), Init: init, PolicyName: "F1"}
+	snap := &Snapshot{Seq: uint64(at), Init: init, PolicyName: "F1",
+		Fed: FedState{Shard: at % 7, Shards: 8, Seed: 42, StolenOnto: at, VT: float64(at) * 1.5}}
 	if err := s.ExportState(&snap.Sched); err != nil {
 		t.Fatalf("event %d: export: %v", at, err)
 	}
@@ -140,7 +239,10 @@ func checkTrip(t *testing.T, at, cores int, init InitState, opt online.Options, 
 	if err != nil {
 		t.Fatalf("event %d: restore: %v", at, err)
 	}
-	snap2 := &Snapshot{Seq: dec.Seq, Init: dec.Init, PolicyName: dec.PolicyName, PolicyExpr: dec.PolicyExpr}
+	if dec.Fed != snap.Fed {
+		t.Fatalf("event %d: fed state changed in round trip: %+v vs %+v", at, dec.Fed, snap.Fed)
+	}
+	snap2 := &Snapshot{Seq: dec.Seq, Init: dec.Init, PolicyName: dec.PolicyName, PolicyExpr: dec.PolicyExpr, Fed: dec.Fed}
 	if err := s2.ExportState(&snap2.Sched); err != nil {
 		t.Fatalf("event %d: re-export: %v", at, err)
 	}
@@ -157,57 +259,24 @@ func checkTrip(t *testing.T, at, cores int, init InitState, opt online.Options, 
 			at, len(enc), len(enc2), firstDiff(enc, enc2))
 	}
 
-	// Fed-tagged variant: a federated shard's snapshot carries a trailing
-	// FedState block. The same decode → restore → re-export loop must
-	// reproduce its bytes exactly (the federated crash suite's oracle
-	// rides on this), and the untagged encoding must be a strict prefix —
-	// the block is trailing, so single-engine snapshots keep the
-	// pre-federation byte format.
-	fed := &FedState{Shard: at % 7, Shards: 8, Seed: 42, StolenOnto: at, VT: float64(at) * 1.5}
-	fsnap := &Snapshot{Seq: snap.Seq, Init: snap.Init, PolicyName: snap.PolicyName,
-		PolicyExpr: snap.PolicyExpr, Sched: snap.Sched, Adapt: snap.Adapt, Fed: fed}
-	fenc := EncodeSnapshot(fsnap)
-	if !bytes.HasPrefix(fenc, enc) {
-		t.Fatalf("event %d: fed block is not strictly trailing (first difference at %d)",
-			at, firstDiff(fenc, enc))
-	}
-	fdec, err := DecodeSnapshot(fenc)
-	if err != nil {
-		t.Fatalf("event %d: fed decode: %v", at, err)
-	}
-	if fdec.Fed == nil || *fdec.Fed != *fed {
-		t.Fatalf("event %d: fed state changed in round trip: %+v vs %+v", at, fdec.Fed, fed)
-	}
-	s3, err := online.Restore(cores, opt, &fdec.Sched)
-	if err != nil {
-		t.Fatalf("event %d: fed restore: %v", at, err)
-	}
-	fsnap2 := &Snapshot{Seq: fdec.Seq, Init: fdec.Init, PolicyName: fdec.PolicyName,
-		PolicyExpr: fdec.PolicyExpr, Adapt: fdec.Adapt, Fed: fdec.Fed}
-	if err := s3.ExportState(&fsnap2.Sched); err != nil {
-		t.Fatalf("event %d: fed re-export: %v", at, err)
-	}
-	if fenc2 := EncodeSnapshot(fsnap2); !bytes.Equal(fenc, fenc2) {
-		t.Fatalf("event %d: fed snapshot not idempotent: %d vs %d bytes (first difference at %d)",
-			at, len(fenc), len(fenc2), firstDiff(fenc, fenc2))
-	}
 }
 
 // FuzzDecodeSnapshot hammers the snapshot decoder — the recovery
 // surface a corrupted checkpoint reaches — with mutated payloads seeded
-// from golden encodings, untagged and shard-tagged. The decoder must
-// never panic, and anything it accepts must re-encode canonically:
-// encode(decode(x)) is a fixed point of decode∘encode.
+// from shard-tagged encodings. The decoder must never panic, and
+// anything it accepts must re-encode canonically: encode(decode(x)) is
+// a fixed point of decode∘encode.
 func FuzzDecodeSnapshot(f *testing.F) {
 	base := Snapshot{
 		Seq:  7,
 		Init: InitState{Cores: 128, Backfill: 1, UseEstimates: true, Tau: 10, PolicyName: "F1"},
+		Fed:  FedState{Shard: 0, Shards: 1, Seed: 1},
 	}
 	f.Add(EncodeSnapshot(&base))
 	tagged := base
-	tagged.Fed = &FedState{Shard: 3, Shards: 8, Seed: 42, StolenOnto: 17, VT: 12345.5}
+	tagged.Fed = FedState{Shard: 3, Shards: 8, Seed: 42, StolenOnto: 17, VT: 12345.5}
 	f.Add(EncodeSnapshot(&tagged))
-	adapt := base
+	adapt := tagged
 	adapt.Adapt = &AdaptState{Config: AdaptConfig{Window: 48, MinWindow: 6, Interval: 120,
 		SSize: 8, QSize: 12, Tuples: 1, Trials: 6, TopK: 1, Workers: 1, Seed: 9}}
 	f.Add(EncodeSnapshot(&adapt))
@@ -226,8 +295,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("encoding is not canonical: %d vs %d bytes (first difference at %d)",
 				len(enc), len(enc2), firstDiff(enc, enc2))
 		}
-		if (snap.Fed == nil) != (back.Fed == nil) || (snap.Fed != nil && *snap.Fed != *back.Fed) {
-			t.Fatalf("fed tag changed across re-decode: %+v vs %+v", snap.Fed, back.Fed)
+		// Bit-for-bit: a NaN VT is a legal payload and NaN != NaN.
+		a, b := snap.Fed, back.Fed
+		if a.Shard != b.Shard || a.Shards != b.Shards || a.Seed != b.Seed ||
+			a.StolenOnto != b.StolenOnto || math.Float64bits(a.VT) != math.Float64bits(b.VT) {
+			t.Fatalf("fed tag changed across re-decode: %+v vs %+v", a, b)
 		}
 	})
 }

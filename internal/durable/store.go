@@ -394,7 +394,3 @@ func (s *Store) Close() error {
 	s.f = nil
 	return err
 }
-
-// Broken reports the latched failure, nil while the store is healthy.
-// The federation's quarantine decision keys off it.
-func (s *Store) Broken() error { return s.broken }

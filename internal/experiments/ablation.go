@@ -20,6 +20,8 @@ type LoadSweepResult struct {
 }
 
 // LoadSweep runs the model scenario at each offered load.
+//
+//gensched:allow deadlint driver of the root BenchmarkAblationLoadSweep
 func LoadSweep(cfg Config, cores int, loads []float64, policies []sched.Policy) (*LoadSweepResult, error) {
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("experiments: load sweep needs at least one load")
@@ -49,6 +51,8 @@ func LoadSweep(cfg Config, cores int, loads []float64, policies []sched.Policy) 
 // Crossovers reports, per pair of policies (a, b), the loads where their
 // median ordering flips between consecutive sweep points — the "where
 // crossovers fall" series of the reproduction brief.
+//
+//gensched:allow deadlint logged by the root BenchmarkAblationLoadSweep
 func (r *LoadSweepResult) Crossovers() []string {
 	var out []string
 	for a := 0; a < len(r.Policies); a++ {
@@ -88,6 +92,8 @@ func (r *LoadSweepResult) Format() string {
 // backfilling on the same windows: the ratio of no-backfill to EASY
 // median AVEbsld (the paper's §4.2.3 observation that FCFS gains most and
 // the learned functions least).
+//
+//gensched:allow deadlint driver of the root BenchmarkAblationBackfillGain
 func BackfillGain(sc Scenario, policies []sched.Policy, workers int) (map[string]float64, error) {
 	plain := sc
 	plain.Backfill = sim.BackfillNone

@@ -2,71 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
-
-	"github.com/hpcsched/gensched/internal/stats"
 )
-
-// ArtifactReport renders a DynamicResult in the format of the paper
-// artifact's sched-performance-tester output (Appendix A.5.3): medians,
-// means and standard deviations per policy, plus an ASCII boxplot standing
-// in for the PDF the Python prototype saves.
-func (d *DynamicResult) ArtifactReport() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Performing scheduling performance test for the workload %s.\n", d.Scenario.Name)
-	est := "actual runtimes"
-	if d.Scenario.UseEstimates {
-		est = "runtime estimates"
-	}
-	fmt.Fprintf(&sb, "Configuration:\nUsing %s, backfilling %s\n", est, d.Scenario.Backfill)
-	sb.WriteString("Experiment Statistics:\n")
-	line := func(label string, f func([]float64) float64) {
-		fmt.Fprintf(&sb, "%s:\n", label)
-		for i, name := range d.Policies {
-			if i > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%s=%.2f", name, f(d.PerSeq[i]))
-		}
-		sb.WriteString("\n")
-	}
-	line("Medians", stats.Median)
-	line("Means", stats.Mean)
-	line("Standard Deviations", stats.StdDev)
-	sb.WriteString(stats.RenderBoxplots(d.Policies, d.Boxes, 60))
-	return sb.String()
-}
-
-// WriteCSV emits the per-sequence AVEbsld matrix: one row per policy, one
-// column per sequence — the raw series behind one boxplot figure panel.
-func (d *DynamicResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "policy"); err != nil {
-		return err
-	}
-	for si := range d.PerSeq[0] {
-		if _, err := fmt.Fprintf(w, ",seq%d", si+1); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for i, name := range d.Policies {
-		if _, err := fmt.Fprintf(w, "%s", name); err != nil {
-			return err
-		}
-		for _, v := range d.PerSeq[i] {
-			if _, err := fmt.Fprintf(w, ",%g", v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Format renders Table 4 in the paper's layout: one row per experiment,
 // one column per policy, medians of the average bounded slowdowns.
@@ -130,6 +67,8 @@ func FormatTable3(r *Table3Result) string {
 // RenderHeatmap draws one Figure 3 panel as ASCII art, darker characters
 // meaning higher priority (lower normalized score), like the paper's
 // colormap.
+//
+//gensched:allow deadlint logged by the root BenchmarkFig3Heatmaps
 func RenderHeatmap(h Heatmap, width int) string {
 	shades := []byte("@#*+=-:. ") // dark (high priority) to light
 	if width <= 0 || width > len(h.Xs) {

@@ -131,6 +131,9 @@ type Table4Result struct {
 
 // Table4 reproduces Table 4 by running every scenario of the suite with
 // the given policies (the paper's eight: FCFS, WFP, UNI, SPT, F4–F1).
+// paperrepro builds the same table through the public Grid.
+//
+//gensched:allow deadlint driver of the root BenchmarkTable4Medians
 func (s *Suite) Table4(policies []sched.Policy) (*Table4Result, error) {
 	out := &Table4Result{Policies: sched.Names(policies)}
 	for _, sc := range s.Scenarios() {

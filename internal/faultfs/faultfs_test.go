@@ -62,11 +62,8 @@ func TestFailSyncLatchesStore(t *testing.T) {
 	if !errors.As(err, &f) || f.Op != OpSync {
 		t.Fatalf("Append = %v, want injected sync fault", err)
 	}
-	if s.Broken() == nil {
-		t.Fatalf("store did not latch after injected sync failure")
-	}
 	if err := s.Append(&recs[1]); err == nil || !strings.Contains(err.Error(), "journal is failed") {
-		t.Fatalf("append after latch = %v, want latched refusal", err)
+		t.Fatalf("append after injected sync failure = %v, want latched refusal", err)
 	}
 	if err := s.Close(); !errors.As(err, &f) {
 		t.Fatalf("Close after latch = %v, want the original fault", err)

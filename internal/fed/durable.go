@@ -147,7 +147,7 @@ func checkShardInit(flags, recorded durable.InitState) error {
 	return nil
 }
 
-// Open builds a durable federation: adopt any pre-federation layout,
+// Open builds a durable federation: refuse a pre-federation layout,
 // recover every shard (concurrently, bounded by cfg.Workers), then
 // rebuild the router deterministically in shard order. With dur.Dir
 // empty it is equivalent to New.
@@ -161,7 +161,7 @@ func Open(cfg Config, dur DurableConfig) (*Federation, error) {
 	if dur.SyncEvery < 1 {
 		dur.SyncEvery = 1
 	}
-	if err := adoptLegacyLayout(dur.Dir); err != nil {
+	if err := refuseLegacyLayout(dur.Dir); err != nil {
 		return nil, err
 	}
 	router, err := NewRouter(cfg.Shards, cfg.ShardCores, cfg.Seed, cfg.Opt.UseEstimates, cfg.StealFactor)
@@ -280,18 +280,11 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 	var s *online.Scheduler
 	polName, polExpr := dur.PolicyName, dur.PolicyExpr
 	if snap := rec.Snapshot; snap != nil {
-		switch {
-		case snap.Fed != nil:
-			if snap.Fed.Shard != i || snap.Fed.Shards != cfg.Shards || snap.Fed.Seed != cfg.Seed {
-				return nil, fmt.Errorf("snapshot belongs to shard %d of a %d-shard federation (seed %d), not shard %d of %d (seed %d)",
-					snap.Fed.Shard, snap.Fed.Shards, snap.Fed.Seed, i, cfg.Shards, cfg.Seed)
-			}
-			out.snapVT, out.snapStolen = snap.Fed.VT, snap.Fed.StolenOnto
-		case i != 0:
-			// Only shard 0 may adopt a pre-federation snapshot (the
-			// single-engine migration); anywhere else it was moved by hand.
-			return nil, fmt.Errorf("snapshot has no federation tag; only shard 0 adopts single-engine state")
+		if snap.Fed.Shard != i || snap.Fed.Shards != cfg.Shards || snap.Fed.Seed != cfg.Seed {
+			return nil, fmt.Errorf("snapshot belongs to shard %d of a %d-shard federation (seed %d), not shard %d of %d (seed %d)",
+				snap.Fed.Shard, snap.Fed.Shards, snap.Fed.Seed, i, cfg.Shards, cfg.Seed)
 		}
+		out.snapVT, out.snapStolen = snap.Fed.VT, snap.Fed.StolenOnto
 		recInit = snap.Init
 		polName, polExpr = snap.PolicyName, snap.PolicyExpr
 		p, err := dur.ResolvePolicy(polName, polExpr)
@@ -466,7 +459,7 @@ func (f *Federation) shardSnapshotLocked(sh *shard, i int) (*durable.Snapshot, e
 		Init:       sh.init,
 		PolicyName: sh.policyName,
 		PolicyExpr: sh.policyExpr,
-		Fed: &durable.FedState{
+		Fed: durable.FedState{
 			Shard:      i,
 			Shards:     f.cfg.Shards,
 			Seed:       f.cfg.Seed,
@@ -586,66 +579,19 @@ func (f *Federation) Health() []ShardHealth {
 	return out
 }
 
-// adoptLegacyLayout migrates a pre-federation single-engine data
-// directory: wal segments and the snapshot sitting at the top level
-// move into shard-0000/, whose recovery then adopts them (untagged
-// snapshots are accepted for shard 0 only). Orphaned .tmp files are
-// swept. Refuses a directory that has both layouts — that is not a
-// migration, it is a mixup.
-func adoptLegacyLayout(dir string) error {
-	fsys := durable.OS()
-	entries, err := fsys.ReadDir(dir)
+// refuseLegacyLayout fails on a data directory written before shards
+// had directories of their own: a snapshot or WAL segment at the top
+// level, which no shard reads. Recovering around it would silently
+// drop that journal.
+func refuseLegacyLayout(dir string) error {
+	entries, err := durable.OS().ReadDir(dir)
 	if err != nil {
-		// A directory that does not exist yet has nothing to migrate.
-		return nil
+		return nil // a directory that does not exist yet holds no journal
 	}
-	var legacy []string
-	hasShardDirs := false
 	for _, e := range entries {
 		name := e.Name()
-		switch {
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			hasShardDirs = true
-		case !e.IsDir() && (name == "snapshot" ||
-			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) ||
-			strings.HasSuffix(name, ".tmp")):
-			legacy = append(legacy, name)
-		}
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	if hasShardDirs {
-		return fmt.Errorf("fed: %s mixes single-engine journal files with shard directories; move one aside", dir)
-	}
-	shard0 := filepath.Join(dir, shardDirName(0))
-	if err := fsys.MkdirAll(shard0, 0o755); err != nil {
-		return err
-	}
-	for _, name := range legacy {
-		if strings.HasSuffix(name, ".tmp") {
-			// Garbage by definition (an interrupted atomic create).
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fsys.Rename(filepath.Join(dir, name), filepath.Join(shard0, name)); err != nil {
-			return err
-		}
-	}
-	// Fsync both directories so the migration itself survives a crash.
-	for _, d := range []string{shard0, dir} {
-		h, err := fsys.OpenDir(d)
-		if err != nil {
-			return err
-		}
-		if err := h.Sync(); err != nil {
-			_ = h.Close() // cleanup; the sync error is already being reported
-			return err
-		}
-		if err := h.Close(); err != nil {
-			return err
+		if !e.IsDir() && (name == "snapshot" || strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) {
+			return fmt.Errorf("fed: %s holds a pre-federation journal file %q; this build reads only %s/shard-NNNN/, so move the old journal aside", dir, name, dir)
 		}
 	}
 	return nil

@@ -174,7 +174,7 @@ func fedFingerprint(t testing.TB, f *Federation, withTrace bool) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "status %+v\n", f.Status())
-	for i := 0; i < f.Shards(); i++ {
+	for i := 0; i < f.cfg.Shards; i++ {
 		snap, err := f.ShardSnapshot(i)
 		if err != nil {
 			t.Fatal(err)
@@ -386,16 +386,14 @@ func TestFedCrashRecoveryCheckpointRotation(t *testing.T) {
 	}
 }
 
-// TestFedAdoptsLegacyLayout pins the single-engine → federation
-// migration: a flat pre-federation data directory (wal segments at top
-// level, stray .tmp junk from an interrupted atomic create) is moved
-// under shard-0000/ and recovered as shard 0, the junk is swept, the
-// remaining shards boot fresh — and a directory mixing both layouts is
-// refused outright.
-func TestFedAdoptsLegacyLayout(t *testing.T) {
+// TestFedRefusesLegacyLayout pins the refusal of a data directory
+// written before shards had directories of their own: journal files at
+// the top level — alone, or next to shard directories — fail Open with
+// an error naming the directory, and nothing is moved or created.
+func TestFedRefusesLegacyLayout(t *testing.T) {
 	jobs := fedJobs(t, 12)
-	dir := t.TempDir()
-	store, rec, err := durable.Open(dir, durable.Options{SyncEvery: 1})
+	flat := t.TempDir()
+	store, rec, err := durable.Open(flat, durable.Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,52 +412,7 @@ func TestFedAdoptsLegacyLayout(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.tmp"), []byte("interrupted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 4
-	f, err := Open(durCfg(shards), durDC(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := f.Status()
-	if st.Submitted != len(jobs) {
-		t.Fatalf("adopted federation submitted %d, want %d", st.Submitted, len(jobs))
-	}
-	if st.PerShard[0].Submitted != len(jobs) {
-		t.Fatalf("legacy jobs did not all land on shard 0: %+v", st.PerShard)
-	}
-	h := f.Health()
-	if !h[0].Recovered || h[0].Replayed != len(jobs) {
-		t.Fatalf("shard 0 health after adoption: %+v", h[0])
-	}
-	for i := 1; i < shards; i++ {
-		if h[i].Recovered {
-			t.Fatalf("fresh shard %d claims recovery: %+v", i, h[i])
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			t.Fatalf("top-level file %q survived the migration", e.Name())
-		}
-	}
-	if err := f.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopening finds a cleanly sharded layout, nothing left to adopt.
-	g, err := Open(durCfg(shards), durDC(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Status(); got.Submitted != len(jobs) {
-		t.Fatalf("re-adopted federation submitted %d, want %d", got.Submitted, len(jobs))
-	}
-	if err := g.Drain(); err != nil {
+	if err := os.WriteFile(filepath.Join(flat, "snapshot.tmp"), []byte("interrupted"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -470,9 +423,47 @@ func TestFedAdoptsLegacyLayout(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(mixed, "wal-0000000000000001.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(durCfg(shards), durDC(mixed)); err == nil {
-		t.Fatal("a directory mixing flat and sharded layouts was accepted")
+
+	snapOnly := t.TempDir()
+	if err := os.WriteFile(filepath.Join(snapOnly, "snapshot"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
 	}
+
+	for name, dir := range map[string]string{"flat": flat, "mixed": mixed, "snapshot": snapOnly} {
+		before := listTree(t, dir)
+		f, err := Open(durCfg(4), durDC(dir))
+		if err == nil {
+			_ = f.Drain()
+			t.Fatalf("%s: a pre-federation layout was opened", name)
+		}
+		if !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s: error does not name the data directory: %v", name, err)
+		}
+		if after := listTree(t, dir); after != before {
+			t.Errorf("%s: refusal changed the directory:\n%s\nbecame\n%s", name, before, after)
+		}
+	}
+}
+
+// listTree renders every path under dir with its size, sorted.
+func listTree(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %v %d\n", strings.TrimPrefix(path, dir), d.IsDir(), info.Size())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // errClass canonicalizes an error for cross-run comparison without
@@ -727,10 +718,9 @@ func TestFedDrainRefusesMutations(t *testing.T) {
 	}
 }
 
-// TestRetryableAndBackoff pins the client-side retry surface: which
-// errors are worth resending, and that the jittered exponential backoff
-// is deterministic per (seed, stream), capped, and bounded in attempts.
-func TestRetryableAndBackoff(t *testing.T) {
+// TestRetryable pins the client-side retry surface: which errors are
+// worth resending.
+func TestRetryable(t *testing.T) {
 	cases := []struct {
 		err  error
 		want bool
@@ -748,33 +738,5 @@ func TestRetryableAndBackoff(t *testing.T) {
 		if got := Retryable(c.err); got != c.want {
 			t.Errorf("Retryable(%v) = %v, want %v", c.err, got, c.want)
 		}
-	}
-	b1 := NewBackoff(0.5, 10, 8, 7, 3)
-	b2 := NewBackoff(0.5, 10, 8, 7, 3)
-	for k := 0; k < 8; k++ {
-		d1, ok1 := b1.Delay(k)
-		d2, ok2 := b2.Delay(k)
-		if !ok1 || !ok2 {
-			t.Fatalf("attempt %d refused before Attempts exhausted", k)
-		}
-		if d1 != d2 {
-			t.Fatalf("attempt %d: same seed/stream, different delays %g vs %g", k, d1, d2)
-		}
-		nominal := 0.5 * float64(int(1)<<uint(k))
-		if nominal > 10 {
-			nominal = 10
-		}
-		if d1 < nominal/2 || d1 >= nominal {
-			t.Fatalf("attempt %d: delay %g outside jitter window [%g, %g)", k, d1, nominal/2, nominal)
-		}
-	}
-	if _, ok := b1.Delay(8); ok {
-		t.Fatal("backoff did not give up after Attempts")
-	}
-	// Distinct streams de-synchronize the fleet.
-	x, _ := NewBackoff(0.5, 10, 8, 7, 1).Delay(0)
-	y, _ := NewBackoff(0.5, 10, 8, 7, 2).Delay(0)
-	if x == y {
-		t.Fatal("distinct streams produced identical jitter (suspicious)")
 	}
 }

@@ -124,9 +124,6 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Shards returns the shard count.
-func (f *Federation) Shards() int { return f.cfg.Shards }
-
 // ShardCores returns each shard's machine size.
 func (f *Federation) ShardCores() int { return f.cfg.ShardCores }
 

@@ -93,6 +93,8 @@ func RouteJobs(jobs []workload.Job, shards, shardCores int, seed uint64, useEsti
 // is bit-identical to replaying each substream sequentially on a single
 // engine and merging in (clock, shard, seq) order — concurrency changes
 // no output bit.
+//
+//gensched:allow deadlint driver of the root BenchmarkFederationThroughput, whose scaling_x floor CI gates
 func Replay(jobs []workload.Job, cfg ReplayConfig) (*Result, error) {
 	if cfg.Opt.Telemetry != nil {
 		return nil, fmt.Errorf("fed: ReplayConfig.Opt.Telemetry must be nil; per-shard sinks are created from TraceBuf")

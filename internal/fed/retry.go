@@ -1,21 +1,16 @@
 // Client-side retry policy for the degraded federation: which errors
-// are worth resending, and how long to wait between attempts. The
-// policy is pure — Backoff computes delays, it never sleeps — because
-// fed sits inside the determinism boundary; the caller (schedtest's
-// load generator, an operator script) owns the actual clock.
+// are worth resending. How long to wait between attempts is the
+// caller's business; fed sits inside the determinism boundary and owns
+// no clock.
 
 package fed
 
-import (
-	"errors"
-
-	"github.com/hpcsched/gensched/internal/dist"
-)
+import "errors"
 
 // Retryable reports whether an error from a federation mutation — local
 // (ShardDownError, ErrDraining) or remote (a WireError with the
 // retryable flag) — refused the request before applying it, so the same
-// request may be resent after a backoff. Everything else is fatal:
+// request may be resent. Everything else is fatal:
 // either the request is wrong, or it was applied without reaching the
 // journal (ShardBrokenError) and resending would double-apply.
 func Retryable(err error) bool {
@@ -31,52 +26,4 @@ func Retryable(err error) bool {
 		return we.Retryable
 	}
 	return false
-}
-
-// Backoff computes deterministic jittered-exponential retry delays.
-// Attempt k (0-based) waits Base·2^k, capped at Max, scaled by a jitter
-// factor in [0.5, 1.0) drawn from a dist.Split stream — so a load
-// generator's retry schedule is as reproducible as the rest of its
-// request stream, and a fleet of workers seeded with distinct streams
-// does not stampede the daemon in lockstep.
-type Backoff struct {
-	// Base is attempt 0's nominal delay in seconds (pre-jitter).
-	Base float64
-	// Max caps the nominal delay; <= 0 means no cap.
-	Max float64
-	// Attempts bounds the retries; 0 means give up immediately.
-	Attempts int
-
-	rng *dist.RNG
-}
-
-// NewBackoff builds a policy with its jitter stream. seed/stream follow
-// the dist.Split convention used everywhere else: one stream per
-// independent retrying actor.
-func NewBackoff(base, max float64, attempts int, seed, stream uint64) *Backoff {
-	return &Backoff{Base: base, Max: max, Attempts: attempts, rng: dist.New(dist.Split(seed, stream))}
-}
-
-// Delay returns attempt's wait in seconds, or ok=false when the policy
-// is exhausted (attempt >= Attempts) and the caller should surface the
-// error. Each call draws one jitter variate, so calling Delay for
-// attempts 0,1,2... in order yields the canonical schedule.
-func (b *Backoff) Delay(attempt int) (seconds float64, ok bool) {
-	if attempt < 0 || attempt >= b.Attempts {
-		return 0, false
-	}
-	d := b.Base
-	for i := 0; i < attempt; i++ {
-		d *= 2
-		if b.Max > 0 && d >= b.Max {
-			d = b.Max
-			break
-		}
-	}
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	// Jitter in [0.5, 1.0): never more than the nominal delay, never
-	// less than half of it.
-	return d * (0.5 + 0.5*b.rng.Float64()), true
 }

@@ -130,9 +130,6 @@ func NewRouter(shards, shardCores int, seed uint64, useEstimates bool, stealFact
 	return r, nil
 }
 
-// Shards returns the shard count.
-func (r *Router) Shards() int { return r.shards }
-
 // Stolen returns how many placements were diverted off their
 // hash-primary shard by the load fallback.
 func (r *Router) Stolen() int {

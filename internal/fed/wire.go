@@ -97,11 +97,6 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendRecordMsg encodes a single-record request payload onto dst.
-func AppendRecordMsg(dst []byte, rec *durable.Record) ([]byte, error) {
-	return durable.AppendRecord(append(dst, MsgRecord), rec)
-}
-
 // AppendBatchMsg encodes a batch request payload onto dst. Records are
 // applied by the receiver in order, so a batch behaves exactly like its
 // records sent back to back — minus the per-record syscalls.

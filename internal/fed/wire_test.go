@@ -22,7 +22,7 @@ func wireRecords() []durable.Record {
 
 func TestWireRecordRoundTrip(t *testing.T) {
 	for _, rec := range wireRecords() {
-		payload, err := AppendRecordMsg(nil, &rec)
+		payload, err := durable.AppendRecord([]byte{MsgRecord}, &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestWireRespRoundTrip(t *testing.T) {
 // format change.
 func TestWireGoldenFrame(t *testing.T) {
 	rec := durable.Record{Op: durable.OpComplete, Now: 127.5, ID: 42}
-	payload, err := AppendRecordMsg(nil, &rec)
+	payload, err := durable.AppendRecord([]byte{MsgRecord}, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDecodeMsgRejectsGarbage(t *testing.T) {
 // codec is its own oracle).
 func FuzzDecodeMsg(f *testing.F) {
 	for _, rec := range wireRecords() {
-		payload, err := AppendRecordMsg(nil, &rec)
+		payload, err := durable.AppendRecord([]byte{MsgRecord}, &rec)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -74,8 +74,7 @@ type features struct {
 }
 
 // buildFeatures computes one form's features from scratch — the slow path
-// single-form fits use; FitAll and CrossValidate borrow from shared
-// FeaturePlanes instead.
+// single-form fits use; FitAll borrows from shared FeaturePlanes instead.
 func buildFeatures(form expr.Form, samples []Sample, weight func(Sample) float64) features {
 	n := len(samples)
 	f := features{
@@ -95,8 +94,7 @@ func buildFeatures(form expr.Form, samples []Sample, weight func(Sample) float64
 // of r, n, s (4 bases × 3 variables = 12 columns), plus the target y and
 // the regression weight w, all computed exactly once. Before the planes,
 // FitAll recomputed the base transforms once per form — 576 identical
-// passes over the samples; now every fit (and every cross-validation
-// fold) is a column lookup. The columns are identical bit for bit to what
+// passes over the samples; now every fit is a column lookup. The columns are identical bit for bit to what
 // buildFeatures computes, so fits borrowing planes return identical
 // results. Planes are immutable after construction and safe to share
 // across goroutines.
@@ -221,6 +219,8 @@ func derived(form expr.Form, f features, sc *fitScratch) (cols [3][]float64, nco
 }
 
 // Fit fits one candidate form to the samples and reports its Eq. 5 rank.
+//
+//gensched:allow deadlint reference oracle: the one-form fit FitAll's shared planes must reproduce bit for bit
 func Fit(form expr.Form, samples []Sample, opt Options) (Result, error) {
 	if len(samples) == 0 {
 		return Result{}, ErrNoSamples
@@ -232,8 +232,7 @@ func Fit(form expr.Form, samples []Sample, opt Options) (Result, error) {
 	return fitFeatures(form, buildFeatures(form, samples, weight), opt, nil), nil
 }
 
-// fitFeatures is the fitting core shared by Fit, FitAll and
-// CrossValidate: closed-form weighted least squares on the derived
+// fitFeatures is the fitting core shared by Fit and FitAll: closed-form weighted least squares on the derived
 // features, optional Levenberg–Marquardt polish, Eq. 5 ranking. It
 // performs exactly the floating-point operations the original
 // one-form-at-a-time path performed, in the same order — scratch reuse

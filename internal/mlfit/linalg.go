@@ -8,18 +8,12 @@ import (
 // ErrSingular indicates a (numerically) singular linear system.
 var ErrSingular = errors.New("mlfit: singular system")
 
-// solveDense solves A·x = b in place by Gaussian elimination with partial
-// pivoting. A is row-major n×n; A and b are clobbered. The fitted systems
-// are at most 3×3 (the three coefficients of a candidate function), so no
-// sophistication is needed — only numerical care.
-func solveDense(a [][]float64, b []float64) ([]float64, error) {
-	return solveDenseInto(a, b, nil)
-}
-
-// solveDenseInto is solveDense with a caller-owned solution buffer; x is
-// grown as needed and returned (a nil x allocates). The elimination and
-// back-substitution are identical to solveDense — buffer reuse never
-// changes a value.
+// solveDenseInto solves A·x = b in place by Gaussian elimination with
+// partial pivoting. A is row-major n×n; A and b are clobbered. The fitted
+// systems are at most 3×3 (the three coefficients of a candidate
+// function), so no sophistication is needed — only numerical care. x is
+// a caller-owned solution buffer, grown as needed and returned (a nil x
+// allocates).
 func solveDenseInto(a [][]float64, b, x []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 || len(b) != n {

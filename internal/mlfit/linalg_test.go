@@ -12,7 +12,7 @@ func TestSolveDenseKnown(t *testing.T) {
 		{-2, 1, 2},
 	}
 	b := []float64{8, -11, -3}
-	x, err := solveDense(a, b)
+	x, err := solveDenseInto(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSolveDensePivoting(t *testing.T) {
 		{1, 0},
 	}
 	b := []float64{3, 5}
-	x, err := solveDense(a, b)
+	x, err := solveDenseInto(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,13 @@ func TestSolveDenseSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	}
-	if _, err := solveDense(a, []float64{1, 2}); err == nil {
+	if _, err := solveDenseInto(a, []float64{1, 2}, nil); err == nil {
 		t.Error("singular system solved")
 	}
-	if _, err := solveDense(nil, nil); err == nil {
+	if _, err := solveDenseInto(nil, nil, nil); err == nil {
 		t.Error("empty system solved")
 	}
-	if _, err := solveDense([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := solveDenseInto([][]float64{{1}}, []float64{1, 2}, nil); err == nil {
 		t.Error("mismatched system solved")
 	}
 }

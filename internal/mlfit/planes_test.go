@@ -84,56 +84,6 @@ func TestFitAllMatchesSequentialFit(t *testing.T) {
 	}
 }
 
-// TestCrossValidateMatchesRebuildPerFold replicates the pre-planes
-// cross-validation (rebuild sample slices per fold, Fit, rank via Eval)
-// and requires the plane-gather implementation to reproduce it bit for
-// bit.
-func TestCrossValidateMatchesRebuildPerFold(t *testing.T) {
-	samples := planesTestSamples(50)
-	const k = 5
-	const seed = 77
-	forms := []expr.Form{
-		{A: expr.BaseLog, B: expr.BaseID, C: expr.BaseLog, Op1: expr.OpMul, Op2: expr.OpAdd},
-		{A: expr.BaseInv, B: expr.BaseSqrt, C: expr.BaseID, Op1: expr.OpDiv, Op2: expr.OpDiv},
-		{A: expr.BaseID, B: expr.BaseID, C: expr.BaseID, Op1: expr.OpAdd, Op2: expr.OpAdd},
-		{A: expr.BaseSqrt, B: expr.BaseLog, C: expr.BaseInv, Op1: expr.OpAdd, Op2: expr.OpMul},
-	}
-	for _, form := range forms {
-		opt := Options{}
-		got, err := CrossValidate(form, samples, k, opt, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// The oracle: the original fold loop, verbatim.
-		perm := dist.New(seed).Perm(len(samples))
-		folds := make([][]Sample, k)
-		for i, pi := range perm {
-			folds[i%k] = append(folds[i%k], samples[pi])
-		}
-		for held := 0; held < k; held++ {
-			train := make([]Sample, 0, len(samples))
-			for fi, f := range folds {
-				if fi != held {
-					train = append(train, f...)
-				}
-			}
-			fit, err := Fit(form, train, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rank float64
-			for _, s := range folds[held] {
-				rank += math.Abs(fit.Func.Eval(s.R, s.N, s.S) - s.Score)
-			}
-			want := rank / float64(len(folds[held]))
-			if math.Float64bits(got.FoldRanks[held]) != math.Float64bits(want) {
-				t.Fatalf("form %v fold %d: rank %v != oracle %v", form, held, got.FoldRanks[held], want)
-			}
-		}
-	}
-}
-
 // TestLMScratchReuse pins buffer reuse: running two different
 // optimizations through one scratch must give the same results as fresh
 // allocations, and the returned Coef must not alias the scratch.

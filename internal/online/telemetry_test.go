@@ -56,10 +56,19 @@ func TestReplayTelemetryObserverFree(t *testing.T) {
 	if got := sink.Backfilled.Load(); got != uint64(bare.Backfilled) {
 		t.Errorf("backfilled counter %d, want %d", got, bare.Backfilled)
 	}
-	if got := sink.Wait.Count(); got != uint64(len(jobs)) {
+	if got := histCount(&sink.Wait); got != uint64(len(jobs)) {
 		t.Errorf("wait histogram count %d, want %d", got, len(jobs))
 	}
-	if sink.QueueDepth.Count() == 0 {
+	if histCount(&sink.QueueDepth) == 0 {
 		t.Error("queue-depth histogram never sampled a pass")
 	}
+}
+
+// histCount is a histogram's observation count, the sum of its buckets.
+func histCount(h *telemetry.Histogram) uint64 {
+	var n uint64
+	for _, c := range h.Snapshot().Counts {
+		n += c
+	}
+	return n
 }

@@ -12,7 +12,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/hpcsched/gensched/internal/expr"
 )
@@ -164,57 +163,12 @@ func F4() Policy {
 	})
 }
 
-// Random is a seeded random-order baseline: each task gets a stable
-// pseudo-random score derived from its identity witin the run. It brackets
-// the policy comparison from below — any reasonable policy must beat it —
-// and is deterministic for reproducible experiments.
-func Random(seed uint64) Policy {
-	return randomPolicy{seed: seed}
-}
-
-type randomPolicy struct{ seed uint64 }
-
-func (r randomPolicy) Name() string      { return "RANDOM" }
-func (r randomPolicy) TimeVarying() bool { return false }
-func (r randomPolicy) Score(v JobView) float64 {
-	// Hash the (submit, cores, runtime) identity into a stable score.
-	h := r.seed
-	for _, f := range []float64{v.Submit, v.Cores, v.Runtime} {
-		h ^= math.Float64bits(f) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-	}
-	return float64(h%1e9) / 1e9
-}
-
-// MultifactorWeights parameterizes a SLURM-style multifactor priority
-// policy: a linear combination of priority factors whose coefficients the
-// platform maintainer tunes (§2 describes this as what production systems
-// deploy). Larger weighted priority means running earlier, so Score
-// negates it.
-type MultifactorWeights struct {
-	Age          float64 // weight of waiting time (s)
-	Size         float64 // weight of requested fraction of the machine
-	Short        float64 // weight of 1/perceived-runtime
-	MachineCores float64 // machine size used to normalize Size
-}
-
-// Multifactor builds the SLURM-like linear-combination policy.
-func Multifactor(w MultifactorWeights) Policy {
-	cores := w.MachineCores
-	if cores <= 0 {
-		cores = 1
-	}
-	return New("MULTIFACTOR", w.Age != 0, func(v JobView) float64 {
-		prio := w.Age*v.Wait +
-			w.Size*(1-v.Cores/cores) +
-			w.Short/math.Max(v.Runtime, 1)
-		return -prio
-	})
-}
-
-// FixedOrder ranks tasks by an externally supplied order (job ID → rank).
-// The trial engine uses it to realize one permutation of the task set Q
-// (§3.2): tasks are served exactly in permutation order. Unknown IDs sort
-// last, by submit time.
+// FixedOrder ranks tasks by an externally supplied order (job ID → rank):
+// one permutation of the task set Q (§3.2), served exactly in
+// permutation order. Unknown IDs sort last, by submit time. The trial
+// engine scores its pooled trial state the same way without building one.
+//
+//gensched:allow deadlint reference oracle: the pooled trial engine and the differential suite replay it against the fast path
 func FixedOrder(rank map[int]int) PolicyWithID {
 	return fixedOrder{rank: rank}
 }
@@ -276,39 +230,4 @@ func Names(ps []Policy) []string {
 		out[i] = p.Name()
 	}
 	return out
-}
-
-// SortQueue stably sorts the queue views by ascending policy score with
-// deterministic tie-breaking on (submit, id). It is exported for tests and
-// for tools that want to display a policy's ordering without running the
-// simulator; ids and views run parallel.
-func SortQueue(p Policy, ids []int, views []JobView) {
-	type entry struct {
-		id   int
-		view JobView
-		key  float64
-	}
-	withID, _ := p.(PolicyWithID)
-	entries := make([]entry, len(ids))
-	for i := range ids {
-		e := entry{id: ids[i], view: views[i]}
-		if withID != nil {
-			e.key = withID.ScoreID(e.id, e.view)
-		} else {
-			e.key = p.Score(e.view)
-		}
-		entries[i] = e
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].key != entries[j].key {
-			return entries[i].key < entries[j].key
-		}
-		if entries[i].view.Submit != entries[j].view.Submit {
-			return entries[i].view.Submit < entries[j].view.Submit
-		}
-		return entries[i].id < entries[j].id
-	})
-	for i, e := range entries {
-		ids[i], views[i] = e.id, e.view
-	}
 }

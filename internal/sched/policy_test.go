@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func view(r, n, s, w float64) JobView {
@@ -109,26 +108,6 @@ func TestF1DominatedBySubmitTime(t *testing.T) {
 	}
 }
 
-func TestMultifactor(t *testing.T) {
-	p := Multifactor(MultifactorWeights{Age: 1, Size: 100, Short: 1000, MachineCores: 256})
-	if !p.TimeVarying() {
-		t.Error("multifactor with age weight is time-varying")
-	}
-	// Older job wins with pure-age weights.
-	age := Multifactor(MultifactorWeights{Age: 1, MachineCores: 256})
-	if age.Score(view(10, 1, 0, 100)) >= age.Score(view(10, 1, 0, 1)) {
-		t.Error("age factor must favor older jobs")
-	}
-	// Smaller job wins with pure-size weights.
-	size := Multifactor(MultifactorWeights{Size: 1, MachineCores: 256})
-	if size.Score(view(10, 1, 0, 0)) >= size.Score(view(10, 256, 0, 0)) {
-		t.Error("size factor must favor smaller jobs")
-	}
-	if size.TimeVarying() {
-		t.Error("multifactor without age weight is not time-varying")
-	}
-}
-
 func TestFixedOrder(t *testing.T) {
 	p := FixedOrder(map[int]int{7: 0, 3: 1, 9: 2})
 	v := view(1, 1, 50, 0)
@@ -162,53 +141,5 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("NOPE"); err == nil {
 		t.Error("unknown name accepted")
-	}
-}
-
-func TestSortQueueDeterministicTieBreak(t *testing.T) {
-	p := New("CONST", false, func(JobView) float64 { return 1 })
-	ids := []int{5, 2, 9, 1}
-	views := []JobView{view(1, 1, 30, 0), view(1, 1, 10, 0), view(1, 1, 10, 0), view(1, 1, 20, 0)}
-	SortQueue(p, ids, views)
-	// All scores equal: order by (submit, id) = (10,2),(10,9),(20,1),(30,5).
-	want := []int{2, 9, 1, 5}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids = %v, want %v", ids, want)
-		}
-	}
-}
-
-func TestSortQueueUsesFixedOrderIDs(t *testing.T) {
-	p := FixedOrder(map[int]int{1: 2, 2: 0, 3: 1})
-	ids := []int{1, 2, 3}
-	views := []JobView{view(1, 1, 0, 0), view(1, 1, 0, 0), view(1, 1, 0, 0)}
-	SortQueue(p, ids, views)
-	if ids[0] != 2 || ids[1] != 3 || ids[2] != 1 {
-		t.Fatalf("ids = %v, want [2 3 1]", ids)
-	}
-}
-
-func TestSortQueueSortedProperty(t *testing.T) {
-	p := SPT()
-	if err := quick.Check(func(runtimes []float64) bool {
-		ids := make([]int, 0, len(runtimes))
-		views := make([]JobView, 0, len(runtimes))
-		for i, r := range runtimes {
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				continue
-			}
-			ids = append(ids, i)
-			views = append(views, view(math.Abs(math.Mod(r, 1e6)), 1, float64(i), 0))
-		}
-		SortQueue(p, ids, views)
-		for i := 1; i < len(views); i++ {
-			if views[i-1].Runtime > views[i].Runtime {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -292,9 +292,6 @@ func (e *Engine) Cores() int { return e.cores }
 // FreeCores returns the currently idle core count.
 func (e *Engine) FreeCores() int { return e.free }
 
-// NumTasks returns the size of the task table (including released slots).
-func (e *Engine) NumTasks() int { return len(e.tasks) }
-
 // Task returns the engine's view of task ti; the pointer is valid only
 // until the next AddTask or Release.
 func (e *Engine) Task(ti int) *Task { return &e.tasks[ti] }

@@ -159,8 +159,8 @@ func TestAddTaskReusesReleasedSlots(t *testing.T) {
 	if c != a {
 		t.Errorf("AddTask after Release = slot %d, want recycled slot %d", c, a)
 	}
-	if e.NumTasks() != 2 {
-		t.Errorf("task table grew to %d slots, want 2", e.NumTasks())
+	if len(e.tasks) != 2 {
+		t.Errorf("task table grew to %d slots, want 2", len(e.tasks))
 	}
 	if got := e.Task(c).Job.ID; got != 3 {
 		t.Errorf("recycled slot holds job %d, want 3", got)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/hpcsched/gensched/internal/dist"
 	"github.com/hpcsched/gensched/internal/sched"
+	"github.com/hpcsched/gensched/internal/schedcore"
 	"github.com/hpcsched/gensched/internal/workload"
 )
 
@@ -67,7 +68,7 @@ func TestConservativeNeverDelaysEarlierReservations(t *testing.T) {
 		cons := mustRun(t, Platform{Cores: 16}, jobs,
 			Options{Policy: sched.FCFS(), Backfill: BackfillConservative})
 		for i := range jobs {
-			if cons.Stats[i].Start > plain.Stats[i].Start+timeEps {
+			if cons.Stats[i].Start > plain.Stats[i].Start+schedcore.TimeEps {
 				t.Fatalf("seed %d: job %d delayed by conservative backfilling: %v > %v",
 					seed, i, cons.Stats[i].Start, plain.Stats[i].Start)
 			}

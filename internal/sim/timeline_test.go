@@ -72,21 +72,3 @@ func TestTimelineQueuePeak(t *testing.T) {
 		t.Errorf("timeline peak %d != MaxQueueLen %d", peak, res.MaxQueueLen)
 	}
 }
-
-func TestAccountingExport(t *testing.T) {
-	jobs := []workload.Job{
-		job(1, 0, 100, 4),
-		job(2, 10, 50, 4),
-	}
-	res := mustRun(t, Platform{Cores: 4}, jobs, Options{Policy: sched.FCFS()})
-	recs := res.Accounting()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[1].Wait != 90 {
-		t.Errorf("job 2 wait = %v, want 90", recs[1].Wait)
-	}
-	if recs[0].Job != jobs[0] {
-		t.Errorf("record 0 job = %+v", recs[0].Job)
-	}
-}

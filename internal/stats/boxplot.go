@@ -58,9 +58,6 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 	return b, nil
 }
 
-// IQR returns the interquartile range.
-func (b Boxplot) IQR() float64 { return b.Q3 - b.Q1 }
-
 // String renders the five-number summary on one line.
 func (b Boxplot) String() string {
 	return fmt.Sprintf("n=%d lo=%.2f q1=%.2f med=%.2f q3=%.2f hi=%.2f outliers=%d",

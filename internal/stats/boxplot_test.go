@@ -19,8 +19,8 @@ func TestNewBoxplotFiveNumberSummary(t *testing.T) {
 	if b.N != 9 || b.Q1 != 3 || b.Median != 5 || b.Q3 != 7 {
 		t.Fatalf("summary: %+v", b)
 	}
-	if b.IQR() != 4 {
-		t.Errorf("IQR = %v, want 4", b.IQR())
+	if b.Q3-b.Q1 != 4 {
+		t.Errorf("IQR = %v, want 4", b.Q3-b.Q1)
 	}
 	// Fences at [-3, 13]: all data inside, whiskers at the extremes.
 	if b.LoWhisk != 1 || b.HiWhisk != 9 || len(b.Outliers) != 0 {
@@ -61,7 +61,7 @@ func TestNewBoxplotDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.IQR() != 0 || len(b.Outliers) != 0 || b.LoWhisk != 5 || b.HiWhisk != 5 {
+	if b.Q3-b.Q1 != 0 || len(b.Outliers) != 0 || b.LoWhisk != 5 || b.HiWhisk != 5 {
 		t.Errorf("constant data: %+v", b)
 	}
 }

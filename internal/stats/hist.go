@@ -12,7 +12,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
@@ -39,18 +38,6 @@ func (h *Histogram) Add(x float64) {
 		i = len(h.Counts) - 1
 	}
 	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // Render draws the histogram as ASCII bars with one row per bin.
@@ -74,61 +61,4 @@ func (h *Histogram) Render(width int) string {
 		fmt.Fprintf(&sb, "[%10.4g,%10.4g) %6d %s\n", h.Lo+float64(i)*binW, h.Lo+float64(i+1)*binW, c, bar)
 	}
 	return sb.String()
-}
-
-// Welford is an online mean/variance accumulator (Welford's algorithm).
-// The trial engine uses it to accumulate per-task score statistics without
-// storing every trial.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations recorded so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (NaN if no observations).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running population variance (NaN if no observations).
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// merge), enabling sharded parallel accumulation with a deterministic
-// final reduce.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
 }

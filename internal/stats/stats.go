@@ -53,20 +53,6 @@ func SampleStdDev(xs []float64) float64 {
 	return StdDev(xs) * math.Sqrt(float64(n)/float64(n-1))
 }
 
-// Min returns the smallest element of xs, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or NaN for empty input.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -112,26 +98,3 @@ func quantileSorted(sorted []float64, q float64) float64 {
 
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary bundles the descriptive statistics the artifact's
-// sched-performance-tester prints for each experiment.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-	}
-}

@@ -33,7 +33,6 @@ func TestEmptyInputsAreNaN(t *testing.T) {
 		"Median":   Median(nil),
 		"Variance": Variance(nil),
 		"StdDev":   StdDev(nil),
-		"Min":      Min(nil),
 		"Max":      Max(nil),
 		"Quantile": Quantile(nil, 0.5),
 	} {
@@ -103,65 +102,14 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		va, vb := Quantile(xs, qa), Quantile(xs, qb)
-		return va <= vb && va >= Min(xs)-1e-9 && vb <= Max(xs)+1e-9
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{3.2, -1.5, 8.8, 0, 2.25, 7}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("Welford mean = %v, want %v", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford variance = %v, want %v", w.Variance(), Variance(xs))
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	if err := quick.Check(func(a, b []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := make([]float64, 0, len(in))
-			for _, x := range in {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) {
-					out = append(out, math.Mod(x, 1e6))
-				}
+		lo := xs[0]
+		for _, x := range xs {
+			if x < lo {
+				lo = x
 			}
-			return out
 		}
-		a, b = clean(a), clean(b)
-		var w1, w2, all Welford
-		for _, x := range a {
-			w1.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			w2.Add(x)
-			all.Add(x)
-		}
-		w1.Merge(w2)
-		if w1.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		meanTol := 1e-9 * (1 + math.Abs(all.Mean()))
-		varTol := 1e-9 * (1 + math.Abs(all.Variance()))
-		return almostEq(w1.Mean(), all.Mean(), meanTol) && almostEq(w1.Variance(), all.Variance(), varTol)
+		va, vb := Quantile(xs, qa), Quantile(xs, qb)
+		return va <= vb && va >= lo-1e-9 && vb <= Max(xs)+1e-9
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -217,7 +165,7 @@ func TestBoxplotInvariants(t *testing.T) {
 		}
 		// Outliers lie strictly outside the fences.
 		for _, o := range b.Outliers {
-			if o >= b.Q1-1.5*b.IQR() && o <= b.Q3+1.5*b.IQR() {
+			if o >= b.Q1-1.5*(b.Q3-b.Q1) && o <= b.Q3+1.5*(b.Q3-b.Q1) {
 				return false
 			}
 		}
@@ -281,9 +229,6 @@ func TestHistogramRenderEmpty(t *testing.T) {
 	if h.Render(20) == "" {
 		t.Error("empty histogram must render bin rows")
 	}
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction must be 0")
-	}
 }
 
 func TestHistogram(t *testing.T) {
@@ -291,17 +236,18 @@ func TestHistogram(t *testing.T) {
 	for _, x := range []float64{0, 1, 2.5, 5, 9.9, -3, 42, math.NaN()} {
 		h.Add(x)
 	}
-	if h.Total() != 7 { // NaN dropped
-		t.Errorf("Total = %d, want 7", h.Total())
+	total := 0
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != 7 { // NaN dropped
+		t.Errorf("total = %d, want 7", total)
 	}
 	if h.Counts[0] != 3 { // 0, 1, and clamped -3
 		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
 	}
 	if h.Counts[4] != 2 { // 9.9 and clamped 42
 		t.Errorf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if got := h.Fraction(0); !almostEq(got, 3.0/7.0, 1e-12) {
-		t.Errorf("Fraction(0) = %v", got)
 	}
 	if h.Render(30) == "" {
 		t.Error("empty histogram render")

@@ -130,29 +130,11 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Total returns the observation count (the sum of all buckets).
-func (s *HistSnapshot) Total() uint64 {
-	var n uint64
-	for _, c := range s.Counts {
-		n += c
-	}
-	return n
-}
-
 // Snapshot copies the histogram. The total is computed from the
 // buckets, never from a separate counter, so a snapshot's cumulative
 // view is always internally monotone.
 func (h *Histogram) Snapshot() HistSnapshot {
 	return HistSnapshot{Counts: h.counts, Sum: h.sum}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for _, c := range h.counts {
-		n += c
-	}
-	return n
 }
 
 // Sum returns the sum of all finite observed values.

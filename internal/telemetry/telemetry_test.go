@@ -60,7 +60,7 @@ func TestHistogramObserveAndSum(t *testing.T) {
 	for _, v := range []float64{0.25, 0.25, 1, 30, 1e6} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
+	if got := total(h.Snapshot()); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
 	}
 	if got, want := h.Sum(), 0.25+0.25+1+30+1e6; got != want {
@@ -69,15 +69,11 @@ func TestHistogramObserveAndSum(t *testing.T) {
 	// Non-finite observations count but do not poison the sum.
 	h.Observe(math.Inf(1))
 	h.Observe(math.NaN())
-	if got := h.Count(); got != 7 {
+	if got := total(h.Snapshot()); got != 7 {
 		t.Fatalf("Count after non-finite = %d, want 7", got)
 	}
 	if got := h.Sum(); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("Sum poisoned by non-finite observation: %g", got)
-	}
-	s := h.Snapshot()
-	if s.Total() != h.Count() {
-		t.Fatalf("Snapshot.Total %d != Count %d", s.Total(), h.Count())
 	}
 }
 
@@ -101,8 +97,8 @@ func TestHistogramMerge(t *testing.T) {
 	if sa.Counts != sb.Counts {
 		t.Fatalf("merged buckets diverge:\n merged: %v\n direct: %v", sa.Counts, sb.Counts)
 	}
-	if sa.Total() != uint64(len(va)+len(vb)) {
-		t.Fatalf("merged Total = %d, want %d", sa.Total(), len(va)+len(vb))
+	if total(sa) != uint64(len(va)+len(vb)) {
+		t.Fatalf("merged Total = %d, want %d", total(sa), len(va)+len(vb))
 	}
 }
 
@@ -180,10 +176,10 @@ func TestJSONLDeterministic(t *testing.T) {
 		return tr
 	}
 	var b1, b2 bytes.Buffer
-	if err := build().WriteJSONL(&b1, 1, 0); err != nil {
+	if err := WriteEventsJSONL(&b1, build().Events(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteJSONL(&b2, 1, 0); err != nil {
+	if err := WriteEventsJSONL(&b2, build().Events(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -209,7 +205,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	tr.Record(Event{Time: 1, Kind: EvStart, Job: 7, A: 0.5})
 	tr.Record(Event{Time: 2, Kind: EvWALSync, A: 3})
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 1, 0); err != nil {
+	if err := WriteEventsChrome(&buf, tr.Events(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -307,14 +303,14 @@ func TestConcurrentScrape(t *testing.T) {
 		var ew ExpositionWriter
 		WriteSink(&ew, s)
 		var buf bytes.Buffer
-		err := s.Trace.WriteJSONL(&buf, 4, 32)
+		err := WriteEventsJSONL(&buf, s.Trace.Events(4, 32))
 		mu.Unlock()
 		var cum uint64
 		for _, c := range snap.Counts {
 			cum += c
 		}
-		if cum != snap.Total() {
-			t.Errorf("scrape %d: cumulative %d != total %d", scrape, cum, snap.Total())
+		if cum != total(snap) {
+			t.Errorf("scrape %d: cumulative %d != total %d", scrape, cum, total(snap))
 		}
 		if len(ew.Bytes()) == 0 {
 			t.Errorf("scrape %d: empty exposition", scrape)
@@ -376,4 +372,13 @@ func TestEdgeFixedEndpoints(t *testing.T) {
 	if strings.Count(out, `endpoint="submit"`) == 0 {
 		t.Fatalf("submit series missing:\n%s", out)
 	}
+}
+
+// total is a snapshot's observation count, the sum of all buckets.
+func total(s HistSnapshot) uint64 {
+	var n uint64
+	for _, c := range s.Counts {
+		n += c
+	}
+	return n
 }

@@ -266,6 +266,8 @@ func appendEventJSON(b []byte, e Event) []byte {
 // first. The byte stream is deterministic for a deterministic event
 // stream. Split from the Tracer so a daemon can copy the ring under
 // its lock and render to a slow client after releasing it.
+//
+//gensched:allow deadlint the plain rendering the trace determinism tests compare byte for byte; the daemon splices a shard field into the same AppendEventJSON lines
 func WriteEventsJSONL(w io.Writer, events []Event) error {
 	var buf []byte
 	for _, e := range events {
@@ -276,12 +278,6 @@ func WriteEventsJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSONL writes the retained events as one JSON object per line,
-// oldest first.
-func (tr *Tracer) WriteJSONL(w io.Writer, sample, limit int) error {
-	return WriteEventsJSONL(w, tr.Events(sample, limit))
 }
 
 // WriteEventsChrome writes events in the Chrome trace-event JSON
@@ -320,10 +316,4 @@ func WriteEventsChrome(w io.Writer, events []Event) error {
 	}
 	_, err := io.WriteString(w, "]}\n")
 	return err
-}
-
-// WriteChromeTrace writes the retained events in the Chrome
-// trace-event JSON format.
-func (tr *Tracer) WriteChromeTrace(w io.Writer, sample, limit int) error {
-	return WriteEventsChrome(w, tr.Events(sample, limit))
 }

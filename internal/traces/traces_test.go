@@ -38,9 +38,7 @@ func TestGenerateCTCSP2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, tr)
 	st := tr.ComputeStats()
 	if math.Abs(st.Utilization-CTCSP2.TargetUtil) > 0.02 {
 		t.Errorf("utilization = %.3f, want %.3f", st.Utilization, CTCSP2.TargetUtil)
@@ -117,9 +115,7 @@ func TestAllPlatformsCalibrationAndCaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Validate(); err != nil {
-				t.Fatal(err)
-			}
+			checkTrace(t, tr)
 			maxRuntime := 2.7e4 // the Lublin default the specs inherit
 			if spec.MaxRuntime > 0 {
 				maxRuntime = spec.MaxRuntime
@@ -220,5 +216,22 @@ func TestPlatformsDifferInScale(t *testing.T) {
 	cs, ts := curie.ComputeStats(), ctc.ComputeStats()
 	if cs.MeanCores <= ts.MeanCores*2 {
 		t.Errorf("Curie mean cores %.1f not far above CTC %.1f", cs.MeanCores, ts.MeanCores)
+	}
+}
+
+// checkTrace asserts what every generated trace must satisfy: at least
+// one job, every job fits the platform, and submissions are sorted.
+func checkTrace(t *testing.T, tr *workload.Trace) {
+	t.Helper()
+	if len(tr.Jobs) == 0 {
+		t.Fatal("trace has no jobs")
+	}
+	for i, j := range tr.Jobs {
+		if err := j.Validate(tr.MaxProcs); err != nil {
+			t.Fatalf("job at index %d: %v", i, err)
+		}
+		if i > 0 && j.Submit < tr.Jobs[i-1].Submit {
+			t.Fatalf("job at index %d out of submit order", i)
+		}
 	}
 }

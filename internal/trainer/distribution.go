@@ -12,12 +12,6 @@ import (
 	"github.com/hpcsched/gensched/internal/stats"
 )
 
-// newTrialRNG derives the RNG of one trial from the distribution seed and
-// the trial index, so trials are independent and reproducible.
-func newTrialRNG(seed, trial uint64) *dist.RNG {
-	return dist.New(dist.Split(seed, trial))
-}
-
 // ScoreDistribution draws nTuples tuples and concatenates their samples:
 // this is the training set Tr, the score(r, n, s) distribution of §3.2.
 // Tuple i uses sub-seed Split(seed, i) for generation and scoring.

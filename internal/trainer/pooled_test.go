@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/hpcsched/gensched/internal/dist"
 	"github.com/hpcsched/gensched/internal/lublin"
 	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/sim"
@@ -21,7 +22,7 @@ func oracleTrial(t Tuple, tau float64, k, q int, seed uint64) (float64, error) {
 	for _, j := range t.Q {
 		qIDs[j.ID] = true
 	}
-	rng := newTrialRNG(seed, uint64(k))
+	rng := dist.New(dist.Split(seed, uint64(k)))
 	first := k % q
 	perm := make([]int, q)
 	perm[0] = first

@@ -296,8 +296,8 @@ func (st *trialState) prepare(tr *trialRunner, q int) {
 // unique, enforced by newTrialRunner, so "the Q tasks" is the same set
 // under either the old ID-keyed filter or the index range used here.)
 func (tr *trialRunner) run(st *trialState, k, q int, seed uint64) float64 {
-	// Reseeding the pooled generator reproduces newTrialRNG's stream
-	// without the per-trial allocation.
+	// Reseeding the pooled generator reproduces the stream of a fresh
+	// dist.New(dist.Split(seed, k)) without the per-trial allocation.
 	rng := &st.rng
 	rng.Reseed(dist.Split(seed, uint64(k)))
 	first := k % q

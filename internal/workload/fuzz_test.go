@@ -34,23 +34,3 @@ func FuzzParseSWF(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseAccountingSWF exercises the accounting-log parser the same way.
-func FuzzParseAccountingSWF(f *testing.F) {
-	f.Add("1 0 5 10 1 -1 -1 1 10 -1 1\n")
-	f.Add("; header only\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		recs, err := ParseAccountingSWF(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		for _, r := range recs {
-			if r.Wait < 0 {
-				t.Fatal("negative wait accepted")
-			}
-			if r.Job.Runtime <= 0 || r.Job.Cores <= 0 {
-				t.Fatal("incomplete job accepted")
-			}
-		}
-	})
-}

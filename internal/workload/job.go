@@ -69,25 +69,6 @@ func (t *Trace) SortBySubmit() {
 	})
 }
 
-// Validate checks every job against the trace's platform size and that
-// submissions are sorted.
-func (t *Trace) Validate() error {
-	if len(t.Jobs) == 0 {
-		return ErrNoJobs
-	}
-	prev := t.Jobs[0].Submit
-	for i, j := range t.Jobs {
-		if err := j.Validate(t.MaxProcs); err != nil {
-			return err
-		}
-		if j.Submit < prev {
-			return fmt.Errorf("job at index %d out of submit order", i)
-		}
-		prev = j.Submit
-	}
-	return nil
-}
-
 // Duration returns the span from the first to the last submission.
 func (t *Trace) Duration() float64 {
 	if len(t.Jobs) == 0 {

@@ -45,28 +45,15 @@ func TestJobArea(t *testing.T) {
 	}
 }
 
-func TestTraceSortAndValidate(t *testing.T) {
+func TestTraceSortBySubmit(t *testing.T) {
 	tr := &Trace{MaxProcs: 16, Jobs: []Job{
 		{ID: 2, Submit: 20, Runtime: 5, Cores: 1},
 		{ID: 1, Submit: 10, Runtime: 5, Cores: 2},
 		{ID: 3, Submit: 10, Runtime: 5, Cores: 4},
 	}}
-	if err := tr.Validate(); err == nil {
-		t.Error("unsorted trace passed validation")
-	}
 	tr.SortBySubmit()
-	if err := tr.Validate(); err != nil {
-		t.Errorf("sorted trace failed validation: %v", err)
-	}
 	if tr.Jobs[0].ID != 1 || tr.Jobs[1].ID != 3 || tr.Jobs[2].ID != 2 {
 		t.Errorf("sort order wrong: %v", tr.Jobs)
-	}
-}
-
-func TestTraceValidateEmpty(t *testing.T) {
-	tr := &Trace{}
-	if err := tr.Validate(); err != ErrNoJobs {
-		t.Errorf("err = %v, want ErrNoJobs", err)
 	}
 }
 
@@ -106,8 +93,10 @@ func TestRepair(t *testing.T) {
 	if tr.Jobs[2].Estimate != 10 {
 		t.Errorf("missing estimate repaired to %v, want 10", tr.Jobs[2].Estimate)
 	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("repaired trace still invalid: %v", err)
+	for _, j := range tr.Jobs {
+		if err := j.Validate(tr.MaxProcs); err != nil {
+			t.Errorf("repaired trace still invalid: %v", err)
+		}
 	}
 	// Second pass is a no-op.
 	if fixed := tr.Repair(); fixed != 0 {

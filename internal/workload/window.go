@@ -2,12 +2,6 @@ package workload
 
 import "fmt"
 
-// FifteenDays is the sequence length the paper's dynamic scheduling
-// experiments use: "Each sequence contains all tasks submissions over a
-// period of fifteen days and we made sure that there was no overlap
-// between the sequences."
-const FifteenDays = 15 * 24 * 3600.0
-
 // Windows slices the trace into count disjoint consecutive windows of
 // length windowSec (by submit time), rebasing each window's submit times
 // to start at rebase seconds. Rebasing to a small positive origin keeps
