@@ -2,11 +2,18 @@
 // internal/fed: wire.go) carrying the same mutations as the HTTP/JSON
 // endpoints, minus the JSON. One goroutine per connection reads frames
 // through a buffered reader, applies the records through the server's
-// one mutation path (server.apply, shared with the HTTP handlers), and
+// one mutation path (server.applyIn, shared with the HTTP handlers), and
 // writes the framed response through a buffered writer that only
 // flushes when the connection has no further request buffered — so a
 // client streaming batches pays one syscall per pipeline stall, not one
 // per record.
+//
+// A frame is one fed.Batch: its records only buffer in their shards'
+// journals, and the frame commits once, on the error path too, before
+// its reply is written — one fsync per touched shard per frame. At
+// -fsync 1 no reply, OK or Err, precedes the sync of the records it
+// applied; -fsync N risks at most N-1 acknowledged records per shard. A
+// concurrent reader may see a frame's records before the frame's sync.
 
 package main
 
@@ -20,23 +27,27 @@ import (
 	"github.com/hpcsched/gensched/internal/online"
 )
 
-// applyWire applies one request frame's records in order through the
-// same path as their HTTP equivalents and reports the resulting clock
-// plus every start notification, appended to buf. An error aborts the
-// batch at the failing record; prior records stay applied, exactly as
-// if they had been sent as separate frames.
-func (sv *server) applyWire(recs []durable.Record, buf []online.Start) (float64, []online.Start, error) {
-	var clock float64
+// applyWire applies one request frame's records in order into batch b
+// through the same path as their HTTP equivalents, commits b, and
+// reports the resulting clock plus every start notification, appended
+// to buf. An error aborts the batch at the failing record; prior
+// records stay applied, exactly as if they had been sent as separate
+// frames, and are committed like the rest: the caller writes no reply,
+// OK or Err, before they are durable.
+func (sv *server) applyWire(b *fed.Batch, recs []durable.Record, buf []online.Start) (float64, []online.Start, error) {
+	var (
+		clock float64
+		err   error
+	)
 	for i := range recs {
-		if err := checkWireOp(recs[i].Op); err != nil {
-			return clock, buf, err
+		if err = checkWireOp(recs[i].Op); err != nil {
+			break
 		}
-		var err error
-		if _, buf, clock, err = sv.apply(&recs[i], buf); err != nil {
-			return clock, buf, err
+		if _, buf, clock, err = sv.applyIn(b, &recs[i], buf); err != nil {
+			break
 		}
 	}
-	return clock, buf, nil
+	return clock, buf, b.Commit(err)
 }
 
 // checkWireOp restricts the wire to the scheduling mutations: the
@@ -133,6 +144,7 @@ func (b *binServer) serveConn(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
+	batch := b.sv.fd.Batch()
 	var (
 		frame  []byte
 		recs   []durable.Record
@@ -154,7 +166,7 @@ func (b *binServer) serveConn(c net.Conn) {
 			resp = fed.AppendErrResp(resp, 400, false, err.Error())
 		} else {
 			var now float64
-			now, starts, err = b.sv.applyWire(recs, starts[:0])
+			now, starts, err = b.sv.applyWire(&batch, recs, starts[:0])
 			if err != nil {
 				resp = fed.AppendErrResp(resp, errStatus(err), fed.Retryable(err), err.Error())
 			} else {

@@ -109,7 +109,7 @@ func main() {
 	flag.StringVar(&cfg.clock, "clock", "logical", "clock source: logical (requests carry 'now') | real (wall time)")
 	flag.BoolVar(&cfg.check, "check", false, "enable runtime invariant checking (development)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable state directory (empty = in-memory only; state is lost on exit)")
-	flag.IntVar(&cfg.fsync, "fsync", 1, "journal records per fsync batch (1 = every mutation durable before its response)")
+	flag.IntVar(&cfg.fsync, "fsync", 1, "journal records per fsync batch: each request (binary frame or HTTP call) syncs every shard it touched once N records are unsynced there (1 = every mutation durable before its response; N risks at most N-1 acknowledged records per shard)")
 	flag.Float64Var(&cfg.ckptEvery, "checkpoint-interval", 3600, "logical seconds between snapshots (0 = only on shutdown)")
 	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable counters, histograms, the decision trace, /metrics and /v1/trace")
 	flag.IntVar(&cfg.traceBuf, "trace-buf", 4096, "decision-trace ring capacity in events")

@@ -8,7 +8,7 @@
 //
 // With -data-dir each shard journals to its own WAL+snapshot store under
 // <data-dir>/shard-NNNN/ and recovers independently on boot (a flat
-// pre-federation layout is adopted as shard 0). A shard whose store
+// pre-federation layout is refused). A shard whose store
 // fails is quarantined — mutations targeting it return 503 with
 // Retry-After while healthy shards keep serving — and /healthz +
 // /v1/status report per-shard health.
@@ -230,12 +230,21 @@ func (sv *server) now(req *request) float64 {
 	return sv.fd.Clock()
 }
 
-// apply runs one client record through the federation: the one mutation
-// path behind the HTTP endpoints and the binary wire. Starts are
-// appended to buf; shard is where a submit landed (-1 for other ops) and
-// clock that shard's clock — the maximum shard clock for the ops that
-// touch every shard.
+// apply runs one client record through the federation as a one-record
+// batch, committed before it returns: the HTTP endpoints' path. Starts
+// are appended to buf; shard is where a submit landed (-1 for other
+// ops) and clock that shard's clock — the maximum shard clock for the
+// ops that touch every shard.
 func (sv *server) apply(rec *durable.Record, buf []online.Start) (shard int, starts []online.Start, clock float64, err error) {
+	b := sv.fd.Batch()
+	shard, starts, clock, err = sv.applyIn(&b, rec, buf)
+	return shard, starts, clock, b.Commit(err)
+}
+
+// applyIn applies one client record into batch b, which the caller
+// commits: the one mutation path behind the HTTP endpoints and the
+// binary wire.
+func (sv *server) applyIn(b *fed.Batch, rec *durable.Record, buf []online.Start) (shard int, starts []online.Start, clock float64, err error) {
 	shard, starts = -1, buf
 	switch rec.Op {
 	case durable.OpSubmit:
@@ -246,13 +255,13 @@ func (sv *server) apply(rec *durable.Record, buf []online.Start) (shard int, sta
 		if err := rec.Job.Validate(sv.fd.ShardCores()); err != nil {
 			return -1, buf, 0, badRequest(err)
 		}
-		return sv.fd.Submit(rec.Now, rec.Job, buf)
+		return b.Submit(rec.Now, rec.Job, buf)
 	case durable.OpComplete:
-		starts, clock, err = sv.fd.Complete(rec.Now, rec.ID, buf)
+		starts, clock, err = b.Complete(rec.Now, rec.ID, buf)
 	case durable.OpAdvance:
-		starts, clock, err = sv.fd.AdvanceTo(rec.Now, buf)
+		starts, clock, err = b.AdvanceTo(rec.Now, buf)
 	case durable.OpPolicy:
-		_, err = sv.setPolicy(rec.Name, rec.Expr)
+		_, err = sv.setPolicy(b, rec.Name, rec.Expr)
 		clock = sv.fd.Clock()
 	case durable.OpAdaptStart:
 		err = sv.fd.StartAdapt(*rec.Adapt)
@@ -266,14 +275,14 @@ func (sv *server) apply(rec *durable.Record, buf []online.Start) (shard int, sta
 	return shard, starts, clock, err
 }
 
-// setPolicy resolves a policy descriptor and swaps it in on every shard;
-// the journal records the descriptor, not the value.
-func (sv *server) setPolicy(name, expr string) (sched.Policy, error) {
+// setPolicy resolves a policy descriptor and swaps it in on every shard
+// through b; the journal records the descriptor, not the value.
+func (sv *server) setPolicy(b *fed.Batch, name, expr string) (sched.Policy, error) {
 	p, err := resolvePolicy(name, expr)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	return p, sv.fd.SetPolicy(p, name, expr)
+	return p, b.SetPolicy(p, name, expr)
 }
 
 // mutate applies one scheduling record and renders the
@@ -321,8 +330,9 @@ func (sv *server) advance(w http.ResponseWriter, req *request) error {
 }
 
 func (sv *server) policy(w http.ResponseWriter, req *request) error {
-	p, err := sv.setPolicy(req.Name, req.Expr)
-	if err != nil {
+	b := sv.fd.Batch()
+	p, err := sv.setPolicy(&b, req.Name, req.Expr)
+	if err = b.Commit(err); err != nil {
 		return err
 	}
 	writeJSON(w, append(appendJSONString([]byte(`{"policy":`), p.Name()), '}', '\n'))

@@ -20,10 +20,10 @@ import (
 
 // Options tunes a Store.
 type Options struct {
-	// SyncEvery is the number of appended records that may share one
-	// flush+fsync. 1 (the default for values < 1) makes every record
-	// durable before Append returns; N > 1 amortizes the fsync and risks
-	// the last N-1 acknowledged records on a crash.
+	// SyncEvery is the number of unsynced records at which Commit
+	// flushes and fsyncs. 1 (the default for values < 1) makes every
+	// committed record durable before Commit returns; N > 1 amortizes
+	// the fsync and risks the last N-1 committed records on a crash.
 	SyncEvery int
 
 	// FS is the filesystem the store runs on; nil means the real one
@@ -43,8 +43,8 @@ type Recovered struct {
 	Segments int
 }
 
-// Store is an open journal. Methods are not safe for concurrent use; the
-// daemon serializes them under its server mutex.
+// Store is an open journal. Methods are not safe for concurrent use: a
+// federation shard calls them under its shard lock.
 type Store struct {
 	dir       string
 	syncEvery int
@@ -245,10 +245,19 @@ func (s *Store) Seq() uint64 { return s.seq }
 // observing the append/sync/checkpoint path.
 func (s *Store) SetTelemetry(t *telemetry.Sink) { s.tel = t }
 
-// Append journals one record. The record is durable when Append returns
-// only if this append completed a SyncEvery batch; call Sync to force a
-// partial batch down.
+// Append journals one record and commits it: Buffer, then Commit.
 func (s *Store) Append(r *Record) error {
+	if err := s.Buffer(r); err != nil {
+		return err
+	}
+	return s.Commit()
+}
+
+// Buffer writes one record into the append buffer without syncing. The
+// record is durable only after a later Commit that syncs, or a Sync; a
+// caller applying a group of records buffers each and commits once, so
+// the group shares one flush+fsync.
+func (s *Store) Buffer(r *Record) error {
 	if s.closed {
 		return fmt.Errorf("durable: store is closed")
 	}
@@ -277,10 +286,27 @@ func (s *Store) Append(r *Record) error {
 	s.tel.WALAppend(s.lastNow, s.seq, len(buf))
 	s.seq++
 	s.unsynced++
-	if s.unsynced >= s.syncEvery {
-		return s.Sync()
-	}
 	return nil
+}
+
+// Commit ends a group of buffered records: it syncs once SyncEvery or
+// more records are unsynced, and otherwise leaves them for a later
+// commit. So after every successful Commit fewer than SyncEvery records
+// are unsynced, which bounds what a crash can take from acknowledged
+// requests at SyncEvery-1. With nothing unsynced Commit succeeds even
+// on a failed or closed store — whatever synced the records made them
+// durable — while a failed store holding unsynced records reports the
+// failure: those records can no longer reach the disk.
+func (s *Store) Commit() error {
+	switch {
+	case s.unsynced == 0:
+		return nil
+	case s.broken != nil:
+		return fmt.Errorf("durable: journal is failed: %w", s.broken)
+	case s.unsynced < s.syncEvery:
+		return nil
+	}
+	return s.Sync()
 }
 
 // Sync flushes buffered appends and fsyncs the active segment. A failure

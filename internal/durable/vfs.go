@@ -51,12 +51,12 @@ func OS() FS { return osFS{} }
 
 type osFS struct{}
 
-func (osFS) MkdirAll(path string, perm fs.FileMode) error  { return os.MkdirAll(path, perm) }
-func (osFS) ReadDir(dir string) ([]fs.DirEntry, error)     { return os.ReadDir(dir) }
-func (osFS) ReadFile(path string) ([]byte, error)          { return os.ReadFile(path) }
-func (osFS) Rename(oldPath, newPath string) error          { return os.Rename(oldPath, newPath) }
-func (osFS) Remove(path string) error                      { return os.Remove(path) }
-func (osFS) OpenDir(path string) (File, error)             { return os.Open(path) }
+func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadDir(dir string) ([]fs.DirEntry, error)    { return os.ReadDir(dir) }
+func (osFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
+func (osFS) Rename(oldPath, newPath string) error         { return os.Rename(oldPath, newPath) }
+func (osFS) Remove(path string) error                     { return os.Remove(path) }
+func (osFS) OpenDir(path string) (File, error)            { return os.Open(path) }
 func (osFS) OpenFile(path string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(path, flag, perm)
 }

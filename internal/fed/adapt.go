@@ -37,7 +37,8 @@ func (f *Federation) StartAdapt(ac durable.AdaptConfig) error {
 		}
 	}
 	rec := durable.Record{Op: durable.OpAdaptStart, Adapt: &ac}
-	return f.fanOut(&rec, func(sh *shard, i int) error { return f.startShardAdapt(sh, i, &ac) })
+	b := f.Batch()
+	return b.Commit(f.fanOut(&b, &rec, func(sh *shard, i int) error { return f.startShardAdapt(sh, i, &ac) }))
 }
 
 // StopAdapt detaches every shard's adaptive loop; shards without one are
@@ -46,7 +47,8 @@ func (f *Federation) StopAdapt() error {
 	f.ctl.Lock()
 	defer f.ctl.Unlock()
 	rec := durable.Record{Op: durable.OpAdaptStop}
-	return f.fanOut(&rec, func(sh *shard, _ int) error { sh.stopAdapt(); return nil })
+	b := f.Batch()
+	return b.Commit(f.fanOut(&b, &rec, func(sh *shard, _ int) error { sh.stopAdapt(); return nil }))
 }
 
 // startShardAdapt attaches shard i's loop. Called with sh.mu held, for

@@ -16,6 +16,18 @@
 // Rejected submits are not journaled and leave no durable routing
 // residue.
 //
+// # Commit point
+//
+// A mutation only buffers its record (journalLocked); the request's
+// Batch.Commit syncs each shard it touched once, under that shard's
+// lock, when the shard's unsynced count has reached SyncEvery. Every
+// request commits before its reply is written — a binary frame once
+// for all its records, every other mutation once per call — so at
+// -fsync 1 no reply, OK or Err, precedes the sync of the records it
+// applied, and -fsync N risks at most N-1 acknowledged records per
+// shard. A concurrent reader can see a frame's records in memory before
+// that frame's sync: reads are not a durable cut.
+//
 // # Quarantine
 //
 // The first append/sync/checkpoint failure on a shard latches the store
@@ -23,15 +35,18 @@
 // router: no new placements, and mutations targeting it fail with
 // ShardDownError — retryable, the deploy may come back after a restart
 // — while every healthy shard keeps serving its own substream
-// untouched. The mutation that trips the latch is the exception: it was
-// applied in memory but not journaled, which ShardBrokenError reports
-// as a fatal (non-retryable) condition — a 500 at the daemon.
+// untouched. The request that trips the latch is the exception: its
+// mutations were applied in memory but not made durable, which
+// ShardBrokenError reports as a fatal (non-retryable) condition — a 500
+// at the daemon. That holds for a failed append and for a failed sync
+// at the commit point alike.
 
 package fed
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"strings"
 
@@ -48,9 +63,10 @@ import (
 // binary protocol.
 var ErrDraining = errors.New("fed: draining, refusing mutations")
 
-// ShardBrokenError is the mutation that tripped a shard's latch: it was
-// applied in memory but its record did not reach the journal. Fatal —
-// retrying cannot make the lost record durable.
+// ShardBrokenError is the request that tripped a shard's latch: it was
+// applied in memory but its records did not reach the disk, at append
+// or at the commit's sync. Fatal — retrying cannot make the lost
+// records durable.
 type ShardBrokenError struct {
 	Shard int
 	Err   error
@@ -265,7 +281,7 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 		sh.initShard(f, s, flags, dur.PolicyName, dur.PolicyExpr)
 		sh.store = store
 		sh.health.Segments = rec.Segments
-		if err := store.Append(&durable.Record{Op: durable.OpInit, Init: &flags}); err != nil {
+		if err := store.Buffer(&durable.Record{Op: durable.OpInit, Init: &flags}); err != nil {
 			return nil, err
 		}
 		if err := store.Sync(); err != nil {
@@ -417,23 +433,90 @@ func (sh *shard) noteSubmitMirror(f *Federation, i int, now float64, j workload.
 	sh.vt += f.router.Occupancy(j)
 }
 
-// journalLocked appends one applied record to the shard's journal and
-// runs the checkpoint cadence. Called with sh.mu held. A failure
-// latches the store, quarantines the shard and returns
-// *ShardBrokenError.
-func (f *Federation) journalLocked(sh *shard, i int, rec *durable.Record) error {
+// journalLocked buffers one applied record in the shard's journal,
+// marks the shard pending in b, and runs the checkpoint cadence. The
+// record is not synced here: b.Commit syncs each pending shard once, so
+// a request's records share one flush+fsync per shard. Called with
+// sh.mu held. A failure latches the store, quarantines the shard and
+// returns *ShardBrokenError.
+func (f *Federation) journalLocked(b *Batch, sh *shard, i int, rec *durable.Record) error {
 	if sh.store == nil {
 		return nil
 	}
-	if err := sh.store.Append(rec); err != nil {
+	if err := sh.store.Buffer(rec); err != nil {
 		f.latchShardLocked(sh, i, err)
 		return &ShardBrokenError{Shard: i, Err: err}
 	}
+	b.mark(i)
 	if rec.Op == durable.OpSubmit {
 		sh.noteSubmitMirror(f, i, rec.Now, rec.Job)
 	}
 	if f.dur != nil && f.dur.CkptEvery > 0 && sh.s.Clock()-sh.lastCkpt >= f.dur.CkptEvery {
 		f.checkpointShardLocked(sh, i)
+	}
+	return nil
+}
+
+// mark adds shard i to the batch's pending set.
+func (b *Batch) mark(i int) {
+	if i < 64 {
+		b.lo |= 1 << uint(i)
+		return
+	}
+	w := i/64 - 1
+	for len(b.hi) <= w {
+		b.hi = append(b.hi, 0)
+	}
+	b.hi[w] |= 1 << uint(i%64)
+}
+
+// Commit is the batch's durability point. It syncs every pending shard
+// once, in shard order and under that shard's lock, whenever the
+// shard's unsynced records have reached SyncEvery; so once it returns,
+// at most SyncEvery-1 acknowledged records per shard are unsynced, and
+// none at -fsync 1. A sync failure latches and quarantines its shard
+// alone: the other pending shards still commit. Commit empties the
+// batch, and on a federation without a data dir, where nothing is ever
+// pending, it returns at once.
+//
+// applyErr is whatever stopped the batch early. Commit returns it unless
+// the commit itself failed: then records applied before applyErr may
+// not be durable, and the lowest failing shard's *ShardBrokenError
+// takes its place.
+func (b *Batch) Commit(applyErr error) error {
+	err := b.f.commitWord(0, b.lo, nil)
+	b.lo = 0
+	for w, word := range b.hi {
+		err = b.f.commitWord(64*(w+1), word, err)
+		b.hi[w] = 0
+	}
+	if err != nil {
+		return err
+	}
+	return applyErr
+}
+
+// commitWord commits the pending shards base+k for each set bit k of
+// word, and returns first or, when first is nil, the first failure.
+func (f *Federation) commitWord(base int, word uint64, first error) error {
+	for ; word != 0; word &= word - 1 {
+		if err := f.commitShard(base + bits.TrailingZeros64(word)); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// commitShard commits shard i's journal (see durable.Store.Commit). It
+// fails only when records the shard buffered cannot be made durable;
+// then the shard latches, if it has not already.
+func (f *Federation) commitShard(i int) error {
+	sh := f.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.store.Commit(); err != nil {
+		f.latchShardLocked(sh, i, err)
+		return &ShardBrokenError{Shard: i, Err: err}
 	}
 	return nil
 }

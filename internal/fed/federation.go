@@ -135,12 +135,51 @@ func (f *Federation) Stolen() int {
 	return f.router.Stolen()
 }
 
+// Batch is one request's commit scope. Its Submit, Complete, AdvanceTo
+// and SetPolicy are the federation's mutation bodies. On a durable
+// federation each buffers its records in the owning shard's journal and
+// marks that shard pending; Commit then syncs every pending shard once.
+// A caller applying several records — a binary frame — applies them all
+// through one Batch and commits before it replies, so the frame pays one
+// fsync per touched shard instead of one per record. The exported
+// Federation mutations are one-call batches that commit before they
+// return; the daemon advances and swaps policies through a Batch.
+//
+// Commit empties a Batch for reuse, and a Batch allocates nothing on a
+// federation of up to 64 shards. It is not safe for concurrent use: it
+// belongs to one request stream.
+type Batch struct {
+	f *Federation
+	// The pending shards: bit i of lo is shard i < 64, bit k of hi[w] is
+	// shard 64(w+1)+k. hi grows once and is reused.
+	lo uint64
+	hi []uint64
+}
+
+// Batch returns an empty batch over f.
+func (f *Federation) Batch() Batch { return Batch{f: f} }
+
+// Submit is a one-record Batch.Submit, committed before it returns.
+func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (shardIdx int, starts []online.Start, clock float64, err error) {
+	b := f.Batch()
+	shardIdx, starts, clock, err = b.Submit(now, j, buf)
+	return shardIdx, starts, clock, b.Commit(err)
+}
+
+// Complete is a one-record Batch.Complete, committed before it returns.
+func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts []online.Start, clock float64, err error) {
+	b := f.Batch()
+	starts, clock, err = b.Complete(now, id, buf)
+	return starts, clock, b.Commit(err)
+}
+
 // Submit routes and submits one job at time now, returning the shard it
 // landed on, the jobs that scheduling pass started (appended to buf, so
 // callers can pool), and the owning shard's clock after the pass. On a
 // scheduler rejection the placement is released, leaving the router as
 // if the request never happened.
-func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (shardIdx int, starts []online.Start, clock float64, err error) {
+func (b *Batch) Submit(now float64, j workload.Job, buf []online.Start) (shardIdx int, starts []online.Start, clock float64, err error) {
+	f := b.f
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -167,7 +206,7 @@ func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (sh
 	starts = append(buf, st...) // copy out of the scheduler's scratch
 	var jerr error
 	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &rec)
+		jerr = f.journalLocked(b, sh, shardIdx, &rec)
 	}
 	clock = sh.s.Clock()
 	sh.mu.Unlock()
@@ -185,7 +224,8 @@ func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (sh
 
 // Complete reports a completion at time now to the shard the job was
 // placed on.
-func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts []online.Start, clock float64, err error) {
+func (b *Batch) Complete(now float64, id int, buf []online.Start) (starts []online.Start, clock float64, err error) {
+	f := b.f
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -207,7 +247,7 @@ func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts [
 	starts = append(buf, st...)
 	var jerr error
 	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &rec)
+		jerr = f.journalLocked(b, sh, shardIdx, &rec)
 	}
 	clock = sh.s.Clock()
 	sh.mu.Unlock()
@@ -226,7 +266,8 @@ func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts [
 // so no clock moves backward) and returns the merged starts, ordered by
 // (time, shard, per-shard pass order). clock is the maximum shard clock
 // after the advance.
-func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online.Start, clock float64, err error) {
+func (b *Batch) AdvanceTo(now float64, buf []online.Start) (starts []online.Start, clock float64, err error) {
+	f := b.f
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -249,7 +290,7 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 		starts = append(starts, st...)
 		var jerr error
 		if aerr == nil {
-			jerr = f.journalLocked(sh, i, &rec)
+			jerr = f.journalLocked(b, sh, i, &rec)
 		}
 		if c := sh.s.Clock(); c > clock {
 			clock = c
@@ -272,20 +313,21 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 // journaling the swap per shard by its descriptor (name, expr) — the
 // journal records a policy the way a client named it, and recovery
 // resolves it back through DurableConfig.ResolvePolicy.
-func (f *Federation) SetPolicy(p sched.Policy, name, expr string) error {
+func (b *Batch) SetPolicy(p sched.Policy, name, expr string) error {
+	f := b.f
 	f.ctl.Lock()
 	defer f.ctl.Unlock()
 	rec := durable.Record{Op: durable.OpPolicy, Name: name, Expr: expr}
-	return f.fanOut(&rec, func(sh *shard, _ int) error { return sh.setPolicy(p, name, expr) })
+	return f.fanOut(b, &rec, func(sh *shard, _ int) error { return sh.setPolicy(p, name, expr) })
 }
 
 // fanOut applies one control record to every shard in shard order, each
 // under its own lock — op mutates the shard, then the record is
-// journaled there. It refuses while draining and unless every shard is
-// healthy: a control op that lands on a strict subset of shards would
-// make every later output depend on which shard failed when. Callers
-// hold f.ctl.
-func (f *Federation) fanOut(rec *durable.Record, op func(sh *shard, i int) error) error {
+// journaled there into b. It refuses while draining and unless every
+// shard is healthy: a control op that lands on a strict subset of
+// shards would make every later output depend on which shard failed
+// when. Callers hold f.ctl.
+func (f *Federation) fanOut(b *Batch, rec *durable.Record, op func(sh *shard, i int) error) error {
 	f.mu.Lock()
 	if f.draining {
 		f.mu.Unlock()
@@ -304,7 +346,7 @@ func (f *Federation) fanOut(rec *durable.Record, op func(sh *shard, i int) error
 		}
 		err := op(sh, i)
 		if err == nil {
-			err = f.journalLocked(sh, i, rec)
+			err = f.journalLocked(b, sh, i, rec)
 		}
 		sh.mu.Unlock()
 		if err != nil {
