@@ -6,6 +6,12 @@
 // and degraded-mode path can be exercised by ordinary tests and
 // reproduced exactly, on any machine, at any worker count.
 //
+// An FS also models a power cut: it remembers each file's length at its
+// last Sync, and CrashImage copies a directory tree as a power cut would
+// leave it — every byte written after a file's last Sync dropped — so a
+// test can check that what a store acknowledged survives on its synced
+// bytes alone.
+//
 // Schedules are either written by hand (a Schedule literal) or derived
 // from a seed with Plan, which draws from the same dist.Split RNG stack
 // as the rest of the system: Plan(seed, stream, span) is a pure
@@ -22,7 +28,10 @@ package faultfs
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"github.com/hpcsched/gensched/internal/dist"
@@ -109,6 +118,10 @@ type FS struct {
 	writes  int
 	renames int
 	removes int
+	// synced is each file's length as a power cut would leave it: set
+	// when the file is first opened (what was there before is durable)
+	// and at every successful Sync, moved by Rename, dropped by Remove.
+	synced map[string]int64
 }
 
 // New wraps inner (nil means the real filesystem) with a fault schedule.
@@ -116,7 +129,7 @@ func New(inner durable.FS, sched Schedule) *FS {
 	if inner == nil {
 		inner = durable.OS()
 	}
-	return &FS{inner: inner, sched: sched}
+	return &FS{inner: inner, sched: sched, synced: make(map[string]int64)}
 }
 
 // Counts returns the operation counters observed so far, for asserting
@@ -147,7 +160,19 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if n == f.sched.FailRenameAt {
 		return &Fault{Op: OpRename, N: n}
 	}
-	return f.inner.Rename(oldPath, newPath)
+	if err := f.inner.Rename(oldPath, newPath); err != nil {
+		return err
+	}
+	oldPath, newPath = filepath.Clean(oldPath), filepath.Clean(newPath)
+	f.mu.Lock()
+	if l, ok := f.synced[oldPath]; ok {
+		f.synced[newPath] = l
+	} else {
+		delete(f.synced, newPath)
+	}
+	delete(f.synced, oldPath)
+	f.mu.Unlock()
+	return nil
 }
 
 // Remove fails on the scheduled occurrence without removing.
@@ -159,7 +184,13 @@ func (f *FS) Remove(path string) error {
 	if n == f.sched.FailRemoveAt {
 		return &Fault{Op: OpRemove, N: n}
 	}
-	return f.inner.Remove(path)
+	if err := f.inner.Remove(path); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	delete(f.synced, filepath.Clean(path))
+	f.mu.Unlock()
+	return nil
 }
 
 // OpenDir wraps the directory handle so its fsync counts toward the
@@ -172,19 +203,92 @@ func (f *FS) OpenDir(path string) (durable.File, error) {
 	return &file{fs: f, inner: d}, nil
 }
 
-// OpenFile wraps the file handle so writes and syncs count.
+// OpenFile wraps the file handle so writes and syncs count. The first
+// open of a path records its length as synced: whatever the file held
+// before this FS saw it is taken as durable.
 func (f *FS) OpenFile(path string, flag int, perm fs.FileMode) (durable.File, error) {
 	h, err := f.inner.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: f, inner: h}, nil
+	path = filepath.Clean(path)
+	f.mu.Lock()
+	_, seen := f.synced[path]
+	f.mu.Unlock()
+	if !seen {
+		l, err := h.Seek(0, io.SeekEnd)
+		if err == nil {
+			_, err = h.Seek(0, io.SeekStart)
+		}
+		if err != nil {
+			_ = h.Close() // cleanup; the seek error is already being reported
+			return nil, err
+		}
+		f.mu.Lock()
+		f.synced[path] = l
+		f.mu.Unlock()
+	}
+	return &file{fs: f, inner: h, path: path}, nil
+}
+
+// CrashImage copies the tree under src to dst as a power cut would
+// leave it: every file this FS has opened is cut to its length at its
+// last Sync, and files it never opened are copied whole. Renames and
+// removals count as durable at once — the store fsyncs the directory
+// after each — so the image models lost data, not lost directory
+// entries. src must not change while the image is taken.
+func (f *FS) CrashImage(src, dst string) error {
+	if err := f.inner.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	entries, err := f.inner.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		from, to := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
+		if e.IsDir() {
+			if err := f.CrashImage(from, to); err != nil {
+				return err
+			}
+			continue
+		}
+		data, err := f.inner.ReadFile(from)
+		if err != nil {
+			return err
+		}
+		f.mu.Lock()
+		l, ok := f.synced[from]
+		f.mu.Unlock()
+		if ok && l < int64(len(data)) {
+			data = data[:l]
+		}
+		if err := writeFile(f.inner, to, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates path on fsys holding data.
+func writeFile(fsys durable.FS, path string, data []byte) error {
+	h, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := h.Write(data); err != nil {
+		_ = h.Close() // cleanup; the write error is already being reported
+		return err
+	}
+	return h.Close()
 }
 
 // file is a handle that routes writes and syncs through the injector.
+// path is empty for a directory handle.
 type file struct {
 	fs    *FS
 	inner durable.File
+	path  string
 }
 
 // Write tears on the scheduled occurrence: half the buffer reaches the
@@ -213,7 +317,25 @@ func (h *file) Sync() error {
 	if n == h.fs.sched.FailSyncAt {
 		return &Fault{Op: OpSync, N: n}
 	}
-	return h.inner.Sync()
+	if err := h.inner.Sync(); err != nil || h.path == "" {
+		return err
+	}
+	// Everything written so far is now durable: record the file's end.
+	cur, err := h.inner.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	end, err := h.inner.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if _, err := h.inner.Seek(cur, io.SeekStart); err != nil {
+		return err
+	}
+	h.fs.mu.Lock()
+	h.fs.synced[h.path] = end
+	h.fs.mu.Unlock()
+	return nil
 }
 
 func (h *file) Truncate(size int64) error                 { return h.inner.Truncate(size) }

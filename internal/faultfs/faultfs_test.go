@@ -294,3 +294,121 @@ func TestRemoveAndCountsDeterminism(t *testing.T) {
 			s1, w1, rn1, rm1, s2, w2, rn2, rm2)
 	}
 }
+
+func TestCrashImageDropsUnsyncedBytes(t *testing.T) {
+	base := t.TempDir()
+	live, img := filepath.Join(base, "live"), filepath.Join(base, "img")
+	if err := os.MkdirAll(live, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A file this FS never opens is durable as it stands.
+	if err := os.WriteFile(filepath.Join(live, "old"), []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ffs := New(nil, Schedule{})
+	write := func(name string, chunks ...string) {
+		t.Helper()
+		h, err := ffs.OpenFile(filepath.Join(live, name), os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chunks {
+			if c == "|" {
+				if err := h.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if _, err := h.Write([]byte(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("a", "abc", "|", "def")      // synced through "abc"
+	write("never", "lost")             // never synced
+	write("tmp", "snap", "|", "shot")  // synced, then renamed
+	write("gone", "x", "|")            // synced, then removed
+	write("old", "ignored", "|", "!!") // the pre-existing bytes plus a sync
+	if err := ffs.Rename(filepath.Join(live, "tmp"), filepath.Join(live, "snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.Remove(filepath.Join(live, "gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.CrashImage(live, img); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"a": "abc", "never": "", "snapshot": "snap", "old": "ignored"}
+	entries, err := os.ReadDir(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Fatalf("image holds %d files, want %d", len(entries), len(want))
+	}
+	for name, w := range want {
+		got, err := os.ReadFile(filepath.Join(img, name))
+		if err != nil || string(got) != w {
+			t.Fatalf("image %s = %q (%v), want %q", name, got, err, w)
+		}
+	}
+}
+
+func TestCrashImageRecoversOnlySyncedRecords(t *testing.T) {
+	base := t.TempDir()
+	live, img := filepath.Join(base, "live"), filepath.Join(base, "img")
+	ffs := New(nil, Schedule{})
+	s, _, err := durable.Open(live, durable.Options{SyncEvery: 1 << 20, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs := testRecords(8000)
+	const synced = 10
+	for i := range recs {
+		if err := s.Append(&recs[i]); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+		if i == synced-1 {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The unsynced records overran the append buffer, so some of their
+	// bytes are in the live file; the image must not keep them.
+	if err := ffs.CrashImage(live, img); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec, err := durable.Open(img, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if len(rec.Records) != synced {
+		t.Fatalf("image recovered %d records, want the %d synced", len(rec.Records), synced)
+	}
+	if treeBytes(t, live) <= treeBytes(t, img) {
+		t.Fatal("no unsynced bytes reached the live files; the image dropped nothing")
+	}
+}
+
+func treeBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}

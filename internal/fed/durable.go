@@ -459,15 +459,11 @@ func (f *Federation) journalLocked(b *Batch, sh *shard, i int, rec *durable.Reco
 
 // mark adds shard i to the batch's pending set.
 func (b *Batch) mark(i int) {
-	if i < 64 {
-		b.lo |= 1 << uint(i)
-		return
+	w := i / 64
+	for len(b.pending) <= w {
+		b.pending = append(b.pending, 0)
 	}
-	w := i/64 - 1
-	for len(b.hi) <= w {
-		b.hi = append(b.hi, 0)
-	}
-	b.hi[w] |= 1 << uint(i%64)
+	b.pending[w] |= 1 << uint(i%64)
 }
 
 // Commit is the batch's durability point. It syncs every pending shard
@@ -484,27 +480,19 @@ func (b *Batch) mark(i int) {
 // not be durable, and the lowest failing shard's *ShardBrokenError
 // takes its place.
 func (b *Batch) Commit(applyErr error) error {
-	err := b.f.commitWord(0, b.lo, nil)
-	b.lo = 0
-	for w, word := range b.hi {
-		err = b.f.commitWord(64*(w+1), word, err)
-		b.hi[w] = 0
+	var err error
+	for w, word := range b.pending {
+		for ; word != 0; word &= word - 1 {
+			if cerr := b.f.commitShard(64*w + bits.TrailingZeros64(word)); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+		b.pending[w] = 0
 	}
 	if err != nil {
 		return err
 	}
 	return applyErr
-}
-
-// commitWord commits the pending shards base+k for each set bit k of
-// word, and returns first or, when first is nil, the first failure.
-func (f *Federation) commitWord(base int, word uint64, first error) error {
-	for ; word != 0; word &= word - 1 {
-		if err := f.commitShard(base + bits.TrailingZeros64(word)); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // commitShard commits shard i's journal (see durable.Store.Commit). It

@@ -145,15 +145,17 @@ func (f *Federation) Stolen() int {
 // Federation mutations are one-call batches that commit before they
 // return; the daemon advances and swaps policies through a Batch.
 //
-// Commit empties a Batch for reuse, and a Batch allocates nothing on a
-// federation of up to 64 shards. It is not safe for concurrent use: it
-// belongs to one request stream.
+// Commit empties a Batch for reuse. A Batch on a federation without a
+// data dir never allocates; on a durable one, its pending set is
+// allocated at the first record and then reused, so a long-lived Batch
+// (one per binary connection) allocates nothing once warm, while a
+// one-call batch pays one small allocation next to its fsync. A Batch
+// is not safe for concurrent use: it belongs to one request stream.
 type Batch struct {
 	f *Federation
-	// The pending shards: bit i of lo is shard i < 64, bit k of hi[w] is
-	// shard 64(w+1)+k. hi grows once and is reused.
-	lo uint64
-	hi []uint64
+	// pending is the set of shards with buffered records: bit k of
+	// pending[w] is shard 64w+k. It grows on the first mark and is reused.
+	pending []uint64
 }
 
 // Batch returns an empty batch over f.

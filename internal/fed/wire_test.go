@@ -3,6 +3,7 @@ package fed
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
@@ -143,6 +144,72 @@ func TestDecodeMsgRejectsGarbage(t *testing.T) {
 // with the golden encodings. The decoder must never panic, and anything
 // it accepts must re-encode and re-decode to the same records (the
 // codec is its own oracle).
+// TestDecodeMsgRejectsNonFinite puts NaN, +Inf and -Inf in each float
+// a wire record carries, alone (MsgRecord) and behind a valid record in
+// a batch (MsgBatch), and expects DecodeMsg to refuse every one — and
+// to accept the same record with a finite value, so each case reaches
+// the check.
+func TestDecodeMsgRejectsNonFinite(t *testing.T) {
+	job := func(x float64, field int) durable.Record {
+		j := workload.Job{ID: 1, Submit: 1, Runtime: 10, Estimate: 20, Cores: 1}
+		now := 1.0
+		switch field {
+		case 0:
+			now = x
+		case 1:
+			j.Submit = x
+		case 2:
+			j.Runtime = x
+		case 3:
+			j.Estimate = x
+		}
+		return durable.Record{Op: durable.OpSubmit, Now: now, Job: j}
+	}
+	adapt := func(set func(*durable.AdaptConfig)) durable.Record {
+		ac := durable.AdaptConfig{Window: 8, MinWindow: 2, Interval: 60, SSize: 4, QSize: 8, Tuples: 1, Trials: 8, TopK: 1, Workers: 1}
+		set(&ac)
+		return durable.Record{Op: durable.OpAdaptStart, Adapt: &ac}
+	}
+	cases := []struct {
+		name string
+		rec  func(x float64) durable.Record
+	}{
+		{"submit now", func(x float64) durable.Record { return job(x, 0) }},
+		{"submit job.submit", func(x float64) durable.Record { return job(x, 1) }},
+		{"submit job.runtime", func(x float64) durable.Record { return job(x, 2) }},
+		{"submit job.estimate", func(x float64) durable.Record { return job(x, 3) }},
+		{"complete now", func(x float64) durable.Record { return durable.Record{Op: durable.OpComplete, Now: x, ID: 1} }},
+		{"advance now", func(x float64) durable.Record { return durable.Record{Op: durable.OpAdvance, Now: x} }},
+		{"init tau", func(x float64) durable.Record {
+			return durable.Record{Op: durable.OpInit, Init: &durable.InitState{Cores: 8, Tau: x, PolicyName: "F1"}}
+		}},
+		{"adapt interval", func(x float64) durable.Record { return adapt(func(ac *durable.AdaptConfig) { ac.Interval = x }) }},
+		{"adapt min_drift", func(x float64) durable.Record { return adapt(func(ac *durable.AdaptConfig) { ac.MinDrift = x }) }},
+		{"adapt margin", func(x float64) durable.Record { return adapt(func(ac *durable.AdaptConfig) { ac.Margin = x }) }},
+		{"adapt cooldown", func(x float64) durable.Record { return adapt(func(ac *durable.AdaptConfig) { ac.Cooldown = x }) }},
+	}
+	valid := job(1, -1)
+	for _, tc := range cases {
+		for _, x := range []float64{2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			rec := tc.rec(x)
+			single, err := durable.AppendRecord([]byte{MsgRecord}, &rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := AppendBatchMsg(nil, []durable.Record{valid, rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kind, payload := range map[string][]byte{"record": single, "batch": batch} {
+				_, err := DecodeMsg(payload, nil)
+				if finite := x == 2; (err == nil) != finite {
+					t.Errorf("%s = %v as a %s message: err %v", tc.name, x, kind, err)
+				}
+			}
+		}
+	}
+}
+
 func FuzzDecodeMsg(f *testing.F) {
 	for _, rec := range wireRecords() {
 		payload, err := durable.AppendRecord([]byte{MsgRecord}, &rec)
