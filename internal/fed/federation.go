@@ -149,8 +149,9 @@ func (f *Federation) Stolen() int {
 // data dir never allocates; on a durable one, its pending set is
 // allocated at the first record and then reused, so a long-lived Batch
 // (one per binary connection) allocates nothing once warm, while a
-// one-call batch pays one small allocation next to its fsync. A Batch
-// is not safe for concurrent use: it belongs to one request stream.
+// one-call batch pays one small allocation beside its journal append.
+// A Batch is not safe for concurrent use: it belongs to one request
+// stream.
 type Batch struct {
 	f *Federation
 	// pending is the set of shards with buffered records: bit k of
